@@ -15,7 +15,10 @@
 //! * exactness: settled counters equal the routing oracle on every
 //!   replica of every shard,
 //! * rebalance cost: the measured key fraction that moves when one more
-//!   shard joins the ring, against the consistent-hash ideal 1/(K+1).
+//!   shard joins the ring, against the consistent-hash ideal 1/(K+1),
+//! * NIC drops: requests the memory servers discarded (atomic-cap overflow
+//!   or out-of-sequence) — asserted zero, since the FaA window exists to
+//!   keep the RNIC's atomic limit from being hit.
 //!
 //! The workload synthesizes its flow population (`FlowSet::synth`), so
 //! the generator holds O(1) state for the 2^20+ distinct five-tuples it
@@ -56,6 +59,7 @@ struct Out {
     max: TimeDelta,
     exact: bool,
     moved_next: f64,
+    nic_drops: u64,
 }
 
 /// One sweep point: a ToR sharded over `k` pools, the million-flow Zipf
@@ -83,10 +87,12 @@ fn probe(k: u32) -> Out {
         let engine = FaaEngine::replicated(
             channels,
             FaaConfig {
-                // 10 Gbps of 256 B frames is ~4.9M updates/s; a 32-deep
-                // window at ~1us of server RTT drains well past that, so
-                // the pending backlog stays bounded even at one shard.
-                max_outstanding: 32,
+                // The RNIC admits 16 outstanding atomics
+                // (`RnicConfig::max_outstanding_atomics`) and drops the
+                // rest, so the window must not exceed it. Past the window
+                // updates merge into their pending slot, which is what
+                // keeps the backlog bounded at one shard.
+                max_outstanding: 16,
                 reliable: true,
                 rto: TimeDelta::from_micros(50),
                 ..Default::default()
@@ -199,6 +205,13 @@ fn probe(k: u32) -> Out {
         r
     };
     let moved_next = prog.ring().remap_fraction(&grown, 1 << 16);
+    let nic_drops = servers
+        .iter()
+        .map(|&id| {
+            let st = sim.node::<RnicNode>(id).stats();
+            st.atomic_overflow_drops + st.out_of_sequence_drops
+        })
+        .sum();
 
     Out {
         shards: k,
@@ -210,6 +223,7 @@ fn probe(k: u32) -> Out {
         max: lat.max,
         exact,
         moved_next,
+        nic_drops,
     }
 }
 
@@ -239,6 +253,7 @@ fn main() {
                 format!("{}", o.max),
                 if o.exact { "yes" } else { "NO" }.to_string(),
                 format!("{:.3} (ideal {:.3})", o.moved_next, ideal),
+                o.nic_drops.to_string(),
             ]
         })
         .collect();
@@ -254,6 +269,7 @@ fn main() {
             "max",
             "exact",
             "moved on +1",
+            "NIC drops",
         ],
         &rows,
     );
@@ -263,6 +279,10 @@ fn main() {
     assert!(
         outs.iter().all(|o| o.slots == base * o.shards as u64),
         "capacity must scale linearly with shards"
+    );
+    assert!(
+        outs.iter().all(|o| o.nic_drops == 0),
+        "the FaA window must keep every memory server under its atomic cap"
     );
     println!();
     println!("expectation: slots grow linearly with servers while the data path is");

@@ -1392,6 +1392,23 @@ pub fn fabric_shard(count: u64, threads: usize) -> PerfResult {
                     "leaf {l} shard {shard}: counters must be exact"
                 );
                 assert_eq!(dumps[0], dumps[1], "leaf {l} shard {shard}: replicas diverge");
+                // No fault is injected, so the FaA window (caller updates
+                // and mirror delta replay alike) must keep every server
+                // under its atomic cap: no NIC drop, hence no go-back-N.
+                assert_eq!(
+                    prog.engine(shard).stats().retransmits,
+                    0,
+                    "leaf {l} shard {shard}: pool retransmitted"
+                );
+                for rep in 0..SHARD_REPLICAS {
+                    let host_i = 2 + shard as usize * SHARD_REPLICAS + rep;
+                    let st = sim.node::<RnicNode>(fabric.hosts[l][host_i]).stats();
+                    assert_eq!(
+                        (st.atomic_overflow_drops, st.out_of_sequence_drops),
+                        (0, 0),
+                        "leaf {l} shard {shard} replica {rep}: NIC dropped requests"
+                    );
+                }
             }
             // The spare only saw post-activation traffic.
             let stats = prog.shard_stats();

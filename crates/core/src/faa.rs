@@ -149,7 +149,10 @@ impl FaaEngine {
         Self::over_pool(pool, config)
     }
 
-    fn over_pool(pool: ReplicatedPool, config: FaaConfig) -> FaaEngine {
+    fn over_pool(mut pool: ReplicatedPool, config: FaaConfig) -> FaaEngine {
+        // Mirror delta replay shares the caller updates' window: both are
+        // FaAs against the same RNIC outstanding-atomics cap.
+        pool.set_replay_window(config.max_outstanding);
         FaaEngine {
             pool,
             config,

@@ -19,6 +19,8 @@
 //! * on primary failure promotes the best mirror, replays its outstanding
 //!   delta, and reissues the caller ops that were in flight (same cookies,
 //!   so the owning primitive never notices);
+//! * windows every delta replay by the FaA engine's outstanding bound and
+//!   continues a cut-short replay as the server's channel completes ops;
 //! * probes Down servers with periodic 8-byte READs over a channel re-armed
 //!   at a fresh PSN ([`ReliableChannel::recover_at`]); a answered probe
 //!   moves the server to `Rejoining`, after which its state is re-seeded
@@ -336,6 +338,9 @@ struct PoolServer {
     seen_progress: u64,
     /// FaA updates applied to the primary but not yet to this server.
     delta: BTreeMap<u64, u64>,
+    /// A delta flush was cut short by the replay window; channel activity
+    /// on this server continues it.
+    draining: bool,
 }
 
 impl fmt::Debug for PoolServer {
@@ -372,6 +377,9 @@ pub struct ReplicatedPool {
     /// Every word ever touched by a caller FaA (the reseed copy list).
     touched: BTreeSet<u64>,
     reseed: Option<Reseed>,
+    /// Most channel ops a delta flush may leave in flight on its server
+    /// (the FaA engine's outstanding bound; unbounded by default).
+    replay_window: usize,
     probe_armed: bool,
     timer_base: u64,
     failed: bool,
@@ -428,6 +436,7 @@ impl ReplicatedPool {
                     seen_timeouts: 0,
                     seen_progress: 0,
                     delta: BTreeMap::new(),
+                    draining: false,
                 })
                 .collect(),
             primary: 0,
@@ -439,6 +448,7 @@ impl ReplicatedPool {
             delta_skip: HashSet::new(),
             touched: BTreeSet::new(),
             reseed: None,
+            replay_window: usize::MAX,
             probe_armed: false,
             timer_base,
             failed: false,
@@ -456,6 +466,14 @@ impl ReplicatedPool {
             s.channel.set_timer_token(base + i as u64);
         }
         self.timer_base = base;
+    }
+
+    /// Cap each delta flush so that a server's channel holds at most
+    /// `window` ops in flight (the FaA engine passes its outstanding
+    /// bound). The rest of the delta keeps coalescing and drains as the
+    /// channel completes ops.
+    pub(crate) fn set_replay_window(&mut self, window: usize) {
+        self.replay_window = window;
     }
 
     fn probe_token(&self) -> u64 {
@@ -817,6 +835,16 @@ impl ReplicatedPool {
             self.servers[i].channel.abort(ctx, &mut raw);
         }
         self.absorb(ctx, i, raw, out);
+        if self.servers[i].draining
+            && !self.failed
+            && (i == self.primary
+                || matches!(
+                    self.servers[i].health.state(),
+                    Health::Healthy | Health::Suspect
+                ))
+        {
+            self.replay_delta(ctx, i);
+        }
         self.ensure_probe_timer(ctx);
     }
 
@@ -1010,9 +1038,11 @@ impl ReplicatedPool {
         };
         self.primary = new_primary;
         self.stats.failovers += 1;
-        // The new primary first catches up on the FaA deltas it missed,
-        // then the orphaned caller ops are replayed under their original
-        // cookies. Channel FIFO ordering makes the catch-up happen first.
+        // The new primary catches up on the FaA deltas it missed (as much
+        // as the replay window admits now, the rest as its channel
+        // completes ops), then the orphaned caller ops are replayed under
+        // their original cookies. FaAs commute, so the counters end up
+        // exact whichever lands first.
         self.replay_delta(ctx, new_primary);
         for cookie in std::mem::take(&mut self.orphans) {
             // Pop-and-requeue keeps each cookie's deque aligned with the
@@ -1053,14 +1083,27 @@ impl ReplicatedPool {
         }
     }
 
-    /// Drain `server`'s accumulated FaA delta into replay ops on it.
+    /// Drain `server`'s accumulated FaA delta into replay ops on it, as
+    /// many as the replay window has room for on its channel. Issuing past
+    /// it would overrun the RNIC's outstanding-atomics cap: the NIC drops
+    /// the excess and the channel answers each drop with a go-back-N
+    /// volley. What doesn't fit stays in the delta (still coalescing) and
+    /// the server is marked draining until a later call empties it.
     fn replay_delta(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, server: usize) {
-        let delta = std::mem::take(&mut self.servers[server].delta);
-        for (va, add) in delta {
+        let ch = &self.servers[server].channel;
+        let room = self
+            .replay_window
+            .saturating_sub(ch.outstanding_len() + ch.queued_len());
+        for _ in 0..room {
+            let Some((va, add)) = self.servers[server].delta.pop_first() else {
+                break;
+            };
             let ic = self.alloc_internal(InternalOp::DeltaFaa { server, va, add });
             self.servers[server].channel.fetch_add(ctx, va, add, ic);
             self.stats.delta_replayed += 1;
         }
+        let s = &mut self.servers[server];
+        s.draining = !s.delta.is_empty();
     }
 
     /// Anti-entropy flush: replay pending FaA deltas onto every live
@@ -1100,7 +1143,10 @@ impl ReplicatedPool {
                     self.delta_skip.insert((server, cookie));
                 }
             }
-            self.servers[server].delta.clear();
+            // The snapshot misses whatever of the primary's own catch-up
+            // delta is still unissued (a windowed replay issues it behind
+            // the snapshot READs), so the rejoiner inherits that remainder.
+            self.servers[server].delta = self.servers[self.primary].delta.clone();
             let vas: Vec<u64> = self.touched.iter().copied().collect();
             self.reseed = Some(Reseed {
                 target: server,
@@ -1306,5 +1352,275 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"failovers\":1"));
         assert!(format!("{a}").contains("failovers=1"));
+    }
+
+    use crate::channel::RdmaChannel;
+    use crate::state_store::read_remote_counters;
+    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_sim::{LinkSpec, SimBuilder, Simulator};
+    use extmem_switch::switch::program_token;
+    use extmem_switch::{PipelineProgram, SwitchConfig, SwitchNode};
+    use extmem_types::{ByteSize, NodeId};
+    use extmem_wire::roce::{RoceEndpoint, RocePacket};
+    use extmem_wire::{MacAddr, Packet};
+
+    const WINDOW: usize = 8;
+    const SLOTS: u64 = 256;
+    /// Program token: issue the driver's remaining caller FaAs, at most
+    /// `WINDOW` in flight. Counting `n` down to 0, FaA `n` adds
+    /// `n % SLOTS + 1` to slot `n % SLOTS`.
+    const ISSUE: u64 = 1;
+    /// Program token: one anti-entropy flush.
+    const SYNC: u64 = 2;
+    const POOL_TIMERS: u64 = 100;
+
+    /// A switch program that drives a replicated pool directly and records
+    /// what the replay window let onto each channel.
+    struct Driver {
+        pool: ReplicatedPool,
+        /// Caller FaAs still to issue (counting down to slot 0).
+        to_issue: u64,
+        /// `DeltaFaa`s in flight on the mirror right after the last `SYNC`.
+        replay_after_sync: usize,
+        /// Per server: the most `DeltaFaa`s ever in flight on it.
+        peak_replays: Vec<usize>,
+        /// At the failover: `DeltaFaa`s issued on the promoted primary and
+        /// delta entries the window held back.
+        catch_up: Option<(usize, usize)>,
+        /// A reseed snapshot started while the primary still had
+        /// unissued catch-up delta.
+        reseed_while_draining: bool,
+    }
+
+    impl Driver {
+        fn replays_on(&self, server: usize) -> usize {
+            self.pool
+                .internal
+                .values()
+                .filter(|op| matches!(op, InternalOp::DeltaFaa { server: s, .. } if *s == server))
+                .count()
+        }
+
+        fn issue(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>) {
+            while self.to_issue > 0 && self.pool.backlog() < WINDOW {
+                self.to_issue -= 1;
+                let slot = self.to_issue % SLOTS;
+                let va = self.pool.base_va() + slot * 8;
+                self.pool.fetch_add(ctx, va, slot + 1, self.to_issue);
+            }
+        }
+
+        fn observe(&mut self) {
+            for i in 0..self.pool.server_count() {
+                self.peak_replays[i] = self.peak_replays[i].max(self.replays_on(i));
+            }
+            let p = self.pool.primary();
+            if p != 0 && self.catch_up.is_none() {
+                self.catch_up = Some((self.replays_on(p), self.pool.servers[p].delta.len()));
+            }
+            if self.pool.reseed_active() && !self.pool.servers[p].delta.is_empty() {
+                self.reseed_while_draining = true;
+            }
+        }
+    }
+
+    impl PipelineProgram for Driver {
+        fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
+            let Ok(Some(roce)) = RocePacket::parse(&pkt) else {
+                return;
+            };
+            let mut events = Vec::new();
+            self.pool.on_roce(ctx, in_port, &roce, &mut events);
+            self.issue(ctx);
+            self.observe();
+        }
+
+        fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
+            match token {
+                ISSUE => self.issue(ctx),
+                SYNC => {
+                    self.pool.sync_mirrors(ctx);
+                    self.replay_after_sync = self.replays_on(1);
+                }
+                _ => {
+                    self.pool.on_timer(ctx, token, &mut Vec::new());
+                    self.issue(ctx);
+                }
+            }
+            self.observe();
+        }
+    }
+
+    struct Rig {
+        sim: Simulator,
+        switch: NodeId,
+        servers: Vec<NodeId>,
+    }
+
+    impl Rig {
+        /// A switch driving a two-server pool (window `WINDOW`, `SLOTS`
+        /// counters) on ports 0 and 1.
+        fn new(config: PoolConfig) -> Rig {
+            let switch_ep = RoceEndpoint {
+                mac: MacAddr::local(100),
+                ip: 0x0a0000fe,
+            };
+            let mut nics = Vec::new();
+            let mut channels = Vec::new();
+            for i in 0..2u8 {
+                let ep = RoceEndpoint {
+                    mac: MacAddr::local(10 + i as u32),
+                    ip: 0x0a000010 + i as u32,
+                };
+                let mut nic = RnicNode::new("memsrv", RnicConfig::at(ep));
+                channels.push(ReliableChannel::new(
+                    RdmaChannel::setup(
+                        switch_ep,
+                        PortId(i as u16),
+                        &mut nic,
+                        ByteSize::from_bytes(SLOTS * 8),
+                    ),
+                    crate::channel::ReliableConfig::default(),
+                ));
+                nics.push(nic);
+            }
+            let mut pool = ReplicatedPool::new(channels, config);
+            pool.set_timer_tokens(POOL_TIMERS);
+            pool.set_replay_window(WINDOW);
+            let driver = Driver {
+                pool,
+                to_issue: SLOTS + 1,
+                replay_after_sync: 0,
+                peak_replays: vec![0; 2],
+                catch_up: None,
+                reseed_while_draining: false,
+            };
+            let mut b = SimBuilder::new(7);
+            let switch = b.add_node(Box::new(SwitchNode::new(
+                "tor",
+                SwitchConfig::default(),
+                Box::new(driver),
+            )));
+            let mut servers = Vec::new();
+            for (i, nic) in nics.into_iter().enumerate() {
+                let id = b.add_node(Box::new(nic));
+                b.connect(
+                    switch,
+                    PortId(i as u16),
+                    id,
+                    PortId(0),
+                    LinkSpec::testbed_40g(),
+                );
+                servers.push(id);
+            }
+            Rig {
+                sim: b.build(),
+                switch,
+                servers,
+            }
+        }
+
+        fn poke(&mut self, token: u64) {
+            self.sim
+                .schedule_timer(self.switch, TimeDelta::ZERO, program_token(token));
+        }
+
+        fn driver(&self) -> &Driver {
+            self.sim.node::<SwitchNode>(self.switch).program::<Driver>()
+        }
+
+        fn counters(&self, server: usize) -> Vec<u64> {
+            let p = &self.driver().pool;
+            let nic = self.sim.node::<RnicNode>(self.servers[server]);
+            read_remote_counters(nic, p.rkey(), p.base_va(), SLOTS)
+        }
+
+        fn nic_drops(&self) -> u64 {
+            self.servers
+                .iter()
+                .map(|&id| {
+                    let st = self.sim.node::<RnicNode>(id).stats();
+                    st.atomic_overflow_drops + st.out_of_sequence_drops
+                })
+                .sum()
+        }
+    }
+
+    /// Slot `k` holds `k + 1`, plus the extra update on slot 0.
+    fn oracle() -> Vec<u64> {
+        (0..SLOTS).map(|k| k + 1 + u64::from(k == 0)).collect()
+    }
+
+    #[test]
+    fn anti_entropy_flush_is_windowed_and_drained_by_completions() {
+        let mut r = Rig::new(PoolConfig::default());
+        r.poke(ISSUE);
+        r.sim.run_to_quiescence();
+        assert_eq!(r.driver().pool.servers[1].delta.len(), SLOTS as usize);
+
+        r.poke(SYNC);
+        r.sim.run_to_quiescence();
+        let d = r.driver();
+        assert_eq!(d.replay_after_sync, WINDOW, "one flush fills the window");
+        assert_eq!(d.peak_replays[1], WINDOW, "continuations refill the window");
+        assert!(d.pool.is_synced(), "completions must drain the remainder");
+        assert_eq!(d.pool.stats().delta_replayed, SLOTS);
+        assert_eq!(d.pool.channel_stats().retransmits, 0);
+        assert_eq!(r.nic_drops(), 0);
+        assert_eq!(r.counters(0), oracle());
+        assert_eq!(r.counters(1), oracle());
+    }
+
+    #[test]
+    fn failover_catch_up_is_windowed_and_finishes() {
+        let config = PoolConfig {
+            probe_interval: TimeDelta::from_micros(5),
+            reseed_atomics: true,
+            ..PoolConfig::default()
+        };
+        let mut r = Rig::new(config);
+        // Every update but the last lands on the primary; the mirror only
+        // accumulates its delta.
+        r.sim
+            .node_mut::<SwitchNode>(r.switch)
+            .program_mut::<Driver>()
+            .to_issue = SLOTS;
+        r.poke(ISSUE);
+        r.sim.run_to_quiescence();
+        // Kill the primary and give it one more update to time out on.
+        r.sim.schedule_crash(r.servers[0], TimeDelta::ZERO);
+        r.sim
+            .node_mut::<SwitchNode>(r.switch)
+            .program_mut::<Driver>()
+            .to_issue = 1;
+        r.poke(ISSUE);
+        for step in 0.. {
+            if r.driver().pool.primary() != 0 {
+                break;
+            }
+            assert!(step < 5_000, "no failover within 5 ms");
+            let t = r.sim.now() + TimeDelta::from_micros(1);
+            r.sim.run_until(t);
+        }
+        let (issued, held_back) = r.driver().catch_up.expect("failover recorded");
+        assert_eq!(issued, WINDOW, "catch-up issued");
+        assert!(held_back > 0, "the window must truncate the catch-up");
+        // Restart the old primary as soon as the aborted channel's last
+        // retransmit has died on the wire, so the first probe (5 us) is
+        // answered and the rejoin snapshot starts while the promoted
+        // primary is still catching up.
+        r.sim
+            .schedule_restart(r.servers[0], TimeDelta::from_micros(2));
+        r.sim.run_to_quiescence();
+
+        let d = r.driver();
+        assert!(d.reseed_while_draining, "the snapshot raced the catch-up");
+        assert_eq!(d.pool.stats().failovers, 1);
+        assert_eq!(d.pool.stats().rejoins, 1);
+        assert_eq!(d.pool.health(0), Health::Healthy);
+        assert_eq!(d.peak_replays[1], WINDOW);
+        assert!(d.pool.is_synced(), "the catch-up must finish");
+        assert_eq!(r.counters(1), oracle(), "promoted primary");
+        assert_eq!(r.counters(0), oracle(), "reseeded rejoiner");
     }
 }

@@ -68,6 +68,12 @@ fi
 rm -f "$digest_log.1" "$digest_log.2" "$digest_log.4"
 echo "digests identical across 1, 2 and 4 workers"
 
+echo "== benchmark self-tests (release) =="
+# perfbench/ is a package of its own (BENCHMARK.json's command runs it).
+# Its tests check the metric arithmetic and run every workload at reduced
+# length on seeds 1, 7 and 1009 with exact-counter and determinism checks.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== perf smoke (advisory) =="
 perf_rc=0
 scripts/perf_check.sh || perf_rc=$?
