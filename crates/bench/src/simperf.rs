@@ -968,11 +968,11 @@ pub const FANOUT_PODS: usize = 8;
 /// `p+1`'s sink, so every ring link carries live load in one direction
 /// while FaA updates and ACKs keep each pod's local links busy.
 ///
-/// The shape is deliberate: nodes are added pod by pod, so the engine's
-/// contiguous partitioner puts whole pods on workers (at 4 threads, two
-/// pods each; at 8, one each) and only the 300 ns ring links cross
-/// partitions — exactly the positive-lookahead regime the conservative
-/// sync needs. `threads` selects [`SchedBackend::Parallel`]; the trace
+/// The shape is deliberate: nodes are added pod by pod and every host
+/// hangs off its pod's switch by a single link, so the engine's link-aware
+/// partitioner keeps each pod whole on one worker (at 4 threads, two pods
+/// each; at 8, one each) and only the 300 ns ring links cross partitions —
+/// exactly the positive-lookahead regime the conservative sync needs. `threads` selects [`SchedBackend::Parallel`]; the trace
 /// digest is bit-identical for every thread count (the equivalence suite
 /// and the `fabric_fanout_digest_invariant_across_threads` test hold this
 /// line).
@@ -1434,6 +1434,10 @@ pub fn fabric_shard(count: u64, threads: usize) -> PerfResult {
             assert!(
                 par.cross_messages > 0,
                 "spine traffic must cross partitions: {par:?}"
+            );
+            assert!(
+                par.min_dispatch_margin_picos >= 1,
+                "lookahead safety margin collapsed: {par:?}"
             );
         }
         r

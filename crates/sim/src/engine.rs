@@ -4,7 +4,7 @@
 //! [`SchedBackend::Heap`](crate::SchedBackend) this is the classic
 //! single-threaded discrete-event loop. Under
 //! [`SchedBackend::Parallel`](crate::SchedBackend) the node graph is split
-//! into contiguous partitions that advance concurrently under conservative
+//! into link-aware partitions that advance concurrently under conservative
 //! (link-latency lookahead) synchronization — see `crate::partition` for the
 //! synchronization protocol and `crate::trace` for why the determinism
 //! digest is bit-identical across all three backends.
@@ -13,16 +13,16 @@ use crate::event::{tie, EventKind, EventQueue, SchedStats, Scheduled, TimerHandl
 use crate::link::{Endpoint, LinkSpec, LinkStats};
 use crate::node::{Node, NodeCtx};
 use crate::partition::{
-    part_of, stream_seed, ChannelMeta, CrossMsg, Inbox, LinkInfo, Outbox, PanicFuse, ParStats,
-    PortSlotStatic, SyncShared, Topo, STREAM_FAULTS, STREAM_NODE,
+    place, stream_seed, ChannelMeta, CrossMsg, Inbox, LinkInfo, Outbox, Padded, PanicFuse,
+    ParStats, PortSlotStatic, SyncShared, Topo, STREAM_FAULTS, STREAM_NODE,
 };
 use crate::trace::{TraceEvent, TraceSink};
 use extmem_types::{LinkId, NodeId, PortId, Rate, Time, TimeDelta};
-use extmem_wire::Packet;
+use extmem_wire::{Packet, WireCounts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 
@@ -38,10 +38,13 @@ fn lane_of(link: usize, end: usize, kind: u32) -> u32 {
     (link as u32) * 4 + (end as u32) * 2 + kind
 }
 
-/// Events dispatched per worker-loop iteration before bounds are
-/// re-published. Large enough to amortize the atomics, small enough that
-/// neighbors' dispatch bounds stay fresh.
-const BATCH: u64 = 256;
+/// Events dispatched per worker-loop iteration before the dispatch bound is
+/// re-read and this partition's bounds are re-published. Small, so the
+/// window slides: a neighbour blocked on our promise sees it rise every
+/// few dispatches instead of once per long batch, and neither worker idles
+/// until the other finishes a whole window. The atomics this costs are
+/// loads of lines that only change when a bound moves.
+const BATCH: u64 = 32;
 
 /// Bounded SPSC capacity per cross-partition channel.
 const CHANNEL_CAP: usize = 1024;
@@ -349,7 +352,7 @@ impl EngineCore {
                         // termination scan that saw the channel balanced can
                         // then never pair with a second scan that still sees
                         // this partition finished.
-                        sync.finished[self.part as usize].store(false, SeqCst);
+                        sync.set_finished(self.part as usize, false);
                         sync.progress[self.part as usize].fetch_add(1, SeqCst);
                     }
                 }
@@ -535,7 +538,7 @@ impl Partition {
             let n = self.dispatch_batch(dd, BATCH, safe);
             if n > 0 || drained > 0 {
                 if n > 0 {
-                    shared.finished[me].store(false, SeqCst);
+                    shared.set_finished(me, false);
                     shared.progress[me].fetch_add(1, SeqCst);
                 }
                 continue;
@@ -545,7 +548,7 @@ impl Partition {
             } else {
                 self.core.queue.peek_time().is_none_or(|t| t > deadline)
             };
-            shared.finished[me].store(idle, SeqCst);
+            shared.set_finished(me, idle);
             if idle && me == 0 && shared.try_terminate() {
                 break;
             }
@@ -633,7 +636,7 @@ impl SimBuilder {
         let n = self.nodes.len();
         let threads = crate::event::current_backend().threads();
         let k = if n == 0 { 1 } else { threads.min(n) };
-        let node_part: Vec<u32> = (0..n).map(|i| part_of(i, n, k)).collect();
+        let node_part = place(n, k, &self.links);
 
         // Flatten the builder's port map into the dense per-node tables the
         // event loop indexes directly.
@@ -689,8 +692,10 @@ impl SimBuilder {
             .collect();
         for (p, q) in pairs {
             let (tx, rx) = mpsc::sync_channel(CHANNEL_CAP);
-            let sent = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let recv = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            // Padded: the sender bumps `sent` and the receiver `recv` on
+            // every message, and the two must not share a line.
+            let sent: Arc<Padded<AtomicU64>> = Arc::default();
+            let recv: Arc<Padded<AtomicU64>> = Arc::default();
             sync.channels.push(ChannelMeta {
                 sent: sent.clone(),
                 recv: recv.clone(),
@@ -795,6 +800,12 @@ impl Simulator {
 
     fn owner(&self, node: NodeId) -> usize {
         self.topo.node_part[node.raw() as usize] as usize
+    }
+
+    /// The partition (worker) that owns `node`: always 0 on the
+    /// single-threaded backends.
+    pub fn partition_of(&self, node: NodeId) -> usize {
+        self.owner(node)
     }
 
     /// Schedule a timer for `node` as if it had called [`NodeCtx::schedule`].
@@ -943,12 +954,29 @@ impl Simulator {
             .map(|p| p.core.queue.peek_time().map_or(u64::MAX, |t| t.picos()))
             .collect();
         shared.begin(&peeks);
-        std::thread::scope(|s| {
-            for part in &mut self.parts {
-                let shared = &*shared;
-                s.spawn(move || part.run_loop(deadline, quiesce, shared));
-            }
+        let worker_counts: Vec<WireCounts> = std::thread::scope(|s| {
+            let workers: Vec<_> = self
+                .parts
+                .iter_mut()
+                .map(|part| {
+                    let shared = &*shared;
+                    s.spawn(move || {
+                        let before = WireCounts::now();
+                        part.run_loop(deadline, quiesce, shared);
+                        WireCounts::now().since(before)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
+        // The workers' wire counters die with their threads: hand them to
+        // the caller, so its readings cover this run as on one thread.
+        for c in worker_counts {
+            c.credit();
+        }
         if quiesce {
             // Partitions stop at the time of their own last event; the
             // simulation's quiescence instant is the latest of those.
@@ -1063,7 +1091,9 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::event::{with_sched_backend, SchedBackend};
+    use crate::fabric::FabricSpec;
     use crate::link::FaultSpec;
+    use crate::partition::part_of;
     use std::collections::VecDeque;
 
     /// Test node: echoes every packet back out the port it arrived on,
@@ -1516,6 +1546,168 @@ mod tests {
         let wheel = run(SchedBackend::Wheel);
         assert_eq!(wheel, run(SchedBackend::Parallel(4)));
         assert_eq!(wheel.2, vec![20, 21, 22, 23]);
+    }
+
+    /// The partition of every node of the topology `build` adds, built
+    /// under `Parallel(k)`.
+    fn placement(k: usize, build: impl FnOnce(&mut SimBuilder)) -> Vec<usize> {
+        with_sched_backend(SchedBackend::Parallel(k), || {
+            let mut b = SimBuilder::new(0);
+            build(&mut b);
+            let n = b.nodes.len();
+            let sim = b.build();
+            (0..n).map(|i| sim.partition_of(NodeId(i as u32))).collect()
+        })
+    }
+
+    fn contiguous(n: usize, k: usize) -> Vec<usize> {
+        (0..n).map(|i| part_of(i, n, k) as usize).collect()
+    }
+
+    #[test]
+    fn placement_keeps_fabric_pods_whole() {
+        // The 4x2 leaf-spine fabric with 8 hosts per leaf (38 nodes, pod
+        // major). A plain contiguous split would cut leaf 2 from its hosts
+        // at k = 2; the link-aware one moves whole pods.
+        let spec = FabricSpec::testbed(4, 2, 8);
+        let echo = || -> Box<dyn Node> { Box::new(Echo::new("n")) };
+        let pods_at = |k| {
+            let mut fabric = None;
+            let parts = placement(k, |b| {
+                fabric = Some(spec.build(b, |_| echo(), |_| echo(), |_, _| echo()));
+            });
+            let f = fabric.expect("fabric built");
+            for (l, pod) in f.hosts.iter().enumerate() {
+                let p = parts[f.leaves[l].raw() as usize];
+                for h in pod {
+                    assert_eq!(parts[h.raw() as usize], p, "k = {k}: pod {l} is cut");
+                }
+            }
+            let pods: Vec<usize> = f.leaves.iter().map(|l| parts[l.raw() as usize]).collect();
+            let spines: Vec<usize> = f.spines.iter().map(|s| parts[s.raw() as usize]).collect();
+            (pods, spines)
+        };
+        assert_eq!(pods_at(2), (vec![0, 0, 1, 1], vec![1, 1]));
+        assert_eq!(pods_at(4), (vec![0, 1, 2, 3], vec![3, 3]));
+    }
+
+    #[test]
+    fn placement_of_stars_and_pairs_matches_contiguous_split() {
+        // A 5-node star (switch plus four single-link hosts) is larger than
+        // half the nodes, so at k = 2 it dissolves into single nodes.
+        let star = placement(2, |b| {
+            let hub = b.add_node(Box::new(Echo::new("hub")));
+            for i in 0..4u16 {
+                let leaf = b.add_node(Box::new(Echo::new("leaf")));
+                b.connect(hub, PortId(i), leaf, PortId(0), LinkSpec::testbed_40g());
+            }
+        });
+        assert_eq!(star, contiguous(5, 2));
+        // Gen→sink pairs: two single-link nodes never join each other, so
+        // pairs land where the contiguous split puts them, whether the two
+        // ends are adjacent or half the topology apart.
+        for k in [2, 3, 4] {
+            let adjacent = placement(k, |b| {
+                for _ in 0..4 {
+                    let g = b.add_node(blaster(1, 64));
+                    let s = b.add_node(Box::new(Echo::new("sink")));
+                    b.connect(g, PortId(0), s, PortId(0), LinkSpec::testbed_40g());
+                }
+            });
+            assert_eq!(adjacent, contiguous(8, k), "adjacent pairs, k = {k}");
+            let apart = placement(k, |b| {
+                let gens: Vec<NodeId> = (0..4).map(|_| b.add_node(blaster(1, 64))).collect();
+                for g in gens {
+                    let s = b.add_node(Box::new(Echo::new("sink")));
+                    b.connect(g, PortId(0), s, PortId(0), LinkSpec::testbed_40g());
+                }
+            });
+            assert_eq!(apart, contiguous(8, k), "split pairs, k = {k}");
+        }
+    }
+
+    /// Sends `left` packets built from the frame pool, keeping a clone of
+    /// each for the whole run (so a corruption in flight in either
+    /// direction must copy, whichever thread runs the echo), and recycles
+    /// whatever comes back.
+    struct PoolSender {
+        left: u64,
+        kept: Vec<Packet>,
+    }
+
+    impl PoolSender {
+        fn send(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.left > 0 && !ctx.tx_busy(PortId(0)) {
+                self.left -= 1;
+                let mut buf = extmem_wire::pool::take();
+                buf.resize(256, self.left as u8);
+                let pkt = Packet::from_vec(buf);
+                self.kept.push(pkt.clone());
+                ctx.start_tx(PortId(0), pkt);
+            }
+        }
+    }
+
+    impl Node for PoolSender {
+        fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: PortId, packet: Packet) {
+            extmem_wire::pool::recycle(packet.into_payload());
+        }
+
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
+            self.send(ctx);
+        }
+
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, _port: PortId) {
+            self.send(ctx);
+        }
+
+        fn name(&self) -> &str {
+            "pool-sender"
+        }
+    }
+
+    #[test]
+    fn parallel_workers_credit_wire_counters_to_the_caller() {
+        // Both nodes run on worker threads under Parallel(2); the calling
+        // thread must still see exactly the wire work the wheel does on it.
+        let run = |backend| {
+            with_sched_backend(backend, || {
+                let mut b = SimBuilder::new(3);
+                let tx = b.add_node(Box::new(PoolSender {
+                    left: 200,
+                    kept: Vec::new(),
+                }));
+                let echo = b.add_node(Box::new(Echo::new("echo")));
+                let mut spec = LinkSpec::testbed_40g();
+                spec.faults = FaultSpec {
+                    corrupt_prob: 0.3,
+                    ..FaultSpec::NONE
+                };
+                b.connect(tx, PortId(0), echo, PortId(0), spec);
+                let mut sim = b.build();
+                if backend != SchedBackend::Wheel {
+                    assert_ne!(sim.partition_of(tx), sim.partition_of(echo));
+                }
+                sim.schedule_timer(tx, TimeDelta::ZERO, 0);
+                let before = WireCounts::now();
+                sim.run_until(Time::from_micros(20));
+                sim.run_to_quiescence();
+                let d = WireCounts::now().since(before);
+                (
+                    d.allocs,
+                    d.cows,
+                    d.digests,
+                    d.pool_hits + d.pool_misses,
+                    sim.trace_digest(),
+                )
+            })
+        };
+        let wheel = run(SchedBackend::Wheel);
+        assert!(
+            wheel.0 > 200 && wheel.1 > 0 && wheel.2 > 0 && wheel.3 == 200,
+            "the workload exercises every counter: {wheel:?}"
+        );
+        assert_eq!(run(SchedBackend::Parallel(2)), wheel);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! provisioned independently.
 //!
 //! Node-addition order is pod-major (each leaf followed by its hosts,
-//! spines last), which is what the parallel scheduler's contiguous
-//! node-range partitioning wants: a pod's heavy intra-pod traffic stays
-//! within one partition, only leaf↔spine links cross.
+//! spines last). Under the parallel scheduler each host, having a single
+//! link, joins its leaf's group, and a pod no larger than a worker's share
+//! of the nodes goes whole to the partition of its middle member: a pod's
+//! heavy intra-pod traffic stays on one worker and only leaf↔spine links
+//! cross. (A pod larger than `⌈nodes / workers⌉` is split node by node.)
 //!
 //! Port conventions (stable, relied on by scenarios):
 //! * leaf `l` port `i`, `i < hosts_per_leaf` ↔ host `(l, i)` port 0

@@ -1,21 +1,32 @@
 //! Support types for the conservative-synchronization parallel engine.
 //!
-//! The node graph is split into `k` contiguous **partitions**. Each
-//! partition owns its nodes, its own timing wheel, and the transmit side of
-//! every link direction whose transmitting node it owns. Partitions advance
-//! concurrently under the classic conservative rule: link propagation delay
-//! is **lookahead**. Partition `p` continuously publishes, per outbound
-//! neighbor `q`, a lower bound on the timestamp of any delivery it may
-//! still send (`earliest own work + min propagation p→q`), and `q` only
-//! dispatches events strictly below the minimum of its inbound bounds.
-//! Cross-partition deliveries travel through bounded SPSC channels;
-//! everything else (timers, tx-completions, crash and link admin) stays
-//! partition-local.
+//! The node graph is split into `k` **partitions** by [`place`]: each
+//! single-link node rides with the switch it hangs off, and each such
+//! group goes whole to the partition the contiguous index split
+//! ([`part_of`]) gives its middle member. Each partition owns its nodes,
+//! its own timing wheel, and the transmit side of every link direction
+//! whose transmitting node it owns. Partitions advance concurrently under
+//! the classic conservative rule: link propagation delay is
+//! **lookahead**. Partition `p` publishes, per outbound neighbor `q`, a
+//! lower bound on the timestamp of any delivery it may still send
+//! (`min(own queue head, own dispatch bound) + min propagation p→q`), and
+//! `q` only dispatches events strictly below the minimum of its inbound
+//! bounds. That bound holds between any two dispatches, so it is
+//! re-published every few dispatches and the window slides instead of
+//! advancing in lockstep. Cross-partition deliveries travel through
+//! bounded SPSC channels; everything else (timers, tx-completions, crash
+//! and link admin) stays partition-local.
 //!
 //! Deadlock freedom: bounds are re-published every loop iteration whether
 //! or not progress was made (the null-message role), all cross-partition
 //! links are required to have strictly positive propagation, and a sender
 //! blocked on a full channel drains its own inboxes while it waits.
+//!
+//! Every shared slot a worker writes (its bounds, `finished` flag and
+//! `progress` counter, a channel's `sent` or `recv` count) has one writer
+//! and a cache line of its own, and a bound or flag is stored only when
+//! its value changes, so an idle worker's spin reads lines without
+//! dirtying them.
 //!
 //! Termination uses distributed double-scan detection: per-partition
 //! `finished` flags, monotone `progress` counters bumped on every dispatch
@@ -27,6 +38,7 @@
 use crate::link::{Endpoint, LinkSpec};
 use extmem_types::{NodeId, PortId, Time};
 use extmem_wire::Packet;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -76,12 +88,55 @@ impl Topo {
 }
 
 /// Contiguous balanced partition assignment: node `i` of `n` goes to
-/// partition `i * k / n`. Contiguity keeps the common builder pattern —
-/// switch registered right before its locally-attached servers — mostly
-/// intra-partition.
+/// partition `i * k / n`. [`place`] applies it to groups of nodes.
 pub(crate) fn part_of(node: usize, nodes: usize, parts: usize) -> u32 {
     debug_assert!(node < nodes && parts >= 1);
     (node * parts / nodes) as u32
+}
+
+/// Link-aware partition assignment of `nodes` nodes to `parts` partitions.
+///
+/// A node with exactly one link (a host, a memory server, a generator)
+/// joins the group of its neighbour when that neighbour has more than one
+/// link (the switch it hangs off). A group larger than `⌈nodes / parts⌉`
+/// is dissolved back into single nodes, so a star never swallows a whole
+/// worker's share. Each group then goes to the partition [`part_of`] gives
+/// its middle member, which keeps the split as balanced as `part_of`'s
+/// while no group is cut: on a pod-major leaf–spine fabric every pod stays
+/// on one worker and only leaf↔spine links cross. Single nodes land
+/// exactly where `part_of` puts them.
+pub(crate) fn place(nodes: usize, parts: usize, links: &[LinkInfo]) -> Vec<u32> {
+    let mut degree = vec![0usize; nodes];
+    // Meaningful only for nodes of degree 1: their sole neighbour.
+    let mut neighbour: Vec<usize> = (0..nodes).collect();
+    for l in links {
+        let [a, b] = l.ends.map(|e| e.node.raw() as usize);
+        degree[a] += 1;
+        degree[b] += 1;
+        neighbour[a] = b;
+        neighbour[b] = a;
+    }
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); nodes];
+    for i in 0..nodes {
+        let j = neighbour[i];
+        let anchor = if degree[i] == 1 && degree[j] > 1 {
+            j
+        } else {
+            i
+        };
+        groups[anchor].push(i);
+    }
+    let cap = nodes.div_ceil(parts);
+    let mut part = vec![0u32; nodes];
+    for g in &groups {
+        let whole = g.len() <= cap;
+        for &i in g {
+            // Members were pushed in index order.
+            let at = if whole { g[g.len() / 2] } else { i };
+            part[i] = part_of(at, nodes, parts);
+        }
+    }
+    part
 }
 
 /// Derive an independent RNG stream seed from the simulation seed
@@ -119,7 +174,7 @@ pub(crate) struct Outbox {
     pub tx: SyncSender<CrossMsg>,
     /// Messages enqueued (bumped *before* the enqueue, so `sent > recv`
     /// whenever a message is in flight).
-    pub sent: Arc<AtomicU64>,
+    pub sent: Arc<Padded<AtomicU64>>,
 }
 
 /// Receiving half of one `p → q` channel, held by partition `q`.
@@ -127,22 +182,38 @@ pub(crate) struct Inbox {
     pub rx: Receiver<CrossMsg>,
     /// Messages fully absorbed into the local queue (bumped *after* the
     /// insert).
-    pub recv: Arc<AtomicU64>,
+    pub recv: Arc<Padded<AtomicU64>>,
 }
 
 /// One channel's counters, retained for the coordinator's balance scan.
 pub(crate) struct ChannelMeta {
-    pub sent: Arc<AtomicU64>,
-    pub recv: Arc<AtomicU64>,
+    pub sent: Arc<Padded<AtomicU64>>,
+    pub recv: Arc<Padded<AtomicU64>>,
 }
 
-/// State shared by all worker threads of one parallel run.
+/// A value alone on its cache line (128 bytes: a line plus the adjacent
+/// line some cores prefetch with it), so one worker writing its own slot
+/// never invalidates the line a neighbour is polling.
+#[repr(align(128))]
+#[derive(Default)]
+pub(crate) struct Padded<T>(T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// State shared by all worker threads of one parallel run. Every slot a
+/// worker writes has that worker as its only writer while workers run, and
+/// is padded to its own cache line.
 pub(crate) struct SyncShared {
     pub k: usize,
     /// `bounds[p * k + q]`: picosecond promise from `p` to `q` — every
     /// delivery `p` has yet to send to `q` fires at or after this. Only
-    /// ever raised (`fetch_max`) while workers run.
-    pub bounds: Vec<AtomicU64>,
+    /// ever raised while workers run.
+    pub bounds: Vec<Padded<AtomicU64>>,
     /// `lookahead[p * k + q]`: min propagation over links `p → q`
     /// (`u64::MAX` when no such link).
     pub lookahead: Vec<u64>,
@@ -150,9 +221,9 @@ pub(crate) struct SyncShared {
     pub inbound: Vec<Vec<u32>>,
     pub outbound: Vec<Vec<u32>>,
     /// Per-partition "nothing left to do at my current bounds" flags.
-    pub finished: Vec<AtomicBool>,
+    pub finished: Vec<Padded<AtomicBool>>,
     /// Per-partition monotone activity counters (any dispatch or drain).
-    pub progress: Vec<AtomicU64>,
+    pub progress: Vec<Padded<AtomicU64>>,
     /// Set once by the coordinator; every worker exits on seeing it.
     pub done: AtomicBool,
     pub channels: Vec<ChannelMeta>,
@@ -173,12 +244,12 @@ impl SyncShared {
         }
         SyncShared {
             k,
-            bounds: (0..k * k).map(|_| AtomicU64::new(0)).collect(),
+            bounds: (0..k * k).map(|_| Padded::default()).collect(),
             lookahead,
             inbound,
             outbound,
-            finished: (0..k).map(|_| AtomicBool::new(false)).collect(),
-            progress: (0..k).map(|_| AtomicU64::new(0)).collect(),
+            finished: (0..k).map(|_| Padded::default()).collect(),
+            progress: (0..k).map(|_| Padded::default()).collect(),
             done: AtomicBool::new(false),
             channels: Vec::new(),
         }
@@ -238,9 +309,23 @@ impl SyncShared {
         safe
     }
 
-    /// Raise the promise `me → q` to at least `bound` picoseconds.
+    /// Raise the promise `me → q` to at least `bound` picoseconds. `me` is
+    /// the slot's only writer, so an unchanged promise is a plain load and
+    /// leaves the line clean in its readers' caches.
     pub fn publish(&self, me: usize, q: usize, bound: u64) {
-        self.bounds[me * self.k + q].fetch_max(bound, SeqCst);
+        let slot = &self.bounds[me * self.k + q];
+        if bound > slot.load(SeqCst) {
+            slot.store(bound, SeqCst);
+        }
+    }
+
+    /// Set partition `me`'s finished flag, storing only on a change (`me`
+    /// is its only writer).
+    pub fn set_finished(&self, me: usize, finished: bool) {
+        let slot = &self.finished[me];
+        if slot.load(SeqCst) != finished {
+            slot.store(finished, SeqCst);
+        }
     }
 
     /// Coordinator-only: double-scan termination check. Returns `true`

@@ -12,39 +12,105 @@
 //! * copy-on-write mutation via [`Payload::make_mut`] (the fault injector's
 //!   byte flip affects only the in-flight copy, never the sender's view).
 //!
-//! Two global counters — [`alloc_count`] and [`cow_count`] — let tests pin
-//! the zero-copy property: forwarding a packet across N hops must not move
-//! either counter.
+//! The wire work counters ([`alloc_count`], [`cow_count`] and the digest
+//! and frame-pool counters, together a [`WireCounts`]) let tests pin the
+//! zero-copy property: forwarding a packet across N hops must not move
+//! them.
 
+use core::cell::Cell;
 use core::fmt;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COW_COPIES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTS: Cell<WireCounts> = const { Cell::new(WireCounts::ZERO) };
+}
 
-/// Total backing-buffer allocations since process start. A hop that copies
+/// Bump one of the calling thread's counters.
+pub(crate) fn count(bump: impl FnOnce(&mut WireCounts)) {
+    COUNTS.with(|c| {
+        let mut v = c.get();
+        bump(&mut v);
+        c.set(v);
+    });
+}
+
+/// The calling thread's wire work counters at one instant.
+///
+/// Every counter is per thread, so simulations (and tests) on different
+/// threads never see each other's work. The parallel engine credits each
+/// worker's counts to the thread that ran the simulation when the workers
+/// join, so a reading taken after a run covers all of that run's work on
+/// every backend.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WireCounts {
+    /// Backing-buffer allocations.
+    pub allocs: u64,
+    /// Copy-on-write copies (mutations of a shared or windowed buffer).
+    pub cows: u64,
+    /// Cold (uncached) content-digest computations.
+    pub digests: u64,
+    /// Frame-pool takes served from the free list.
+    pub pool_hits: u64,
+    /// Frame-pool takes that had to allocate.
+    pub pool_misses: u64,
+}
+
+impl WireCounts {
+    const ZERO: WireCounts = WireCounts {
+        allocs: 0,
+        cows: 0,
+        digests: 0,
+        pool_hits: 0,
+        pool_misses: 0,
+    };
+
+    /// The calling thread's counters now.
+    pub fn now() -> WireCounts {
+        COUNTS.with(Cell::get)
+    }
+
+    /// The counts accrued since `before`.
+    pub fn since(self, before: WireCounts) -> WireCounts {
+        WireCounts {
+            allocs: self.allocs - before.allocs,
+            cows: self.cows - before.cows,
+            digests: self.digests - before.digests,
+            pool_hits: self.pool_hits - before.pool_hits,
+            pool_misses: self.pool_misses - before.pool_misses,
+        }
+    }
+
+    /// Add these counts to the calling thread's counters: how the parallel
+    /// engine hands a worker's work to the thread that ran the simulation.
+    pub fn credit(self) {
+        count(|c| {
+            c.allocs += self.allocs;
+            c.cows += self.cows;
+            c.digests += self.digests;
+            c.pool_hits += self.pool_hits;
+            c.pool_misses += self.pool_misses;
+        });
+    }
+}
+
+/// Backing-buffer allocations made on this thread. A hop that copies
 /// payload bytes shows up as a delta here; the zero-copy tests assert the
 /// delta stays at the per-packet construction cost.
 pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    WireCounts::now().allocs
 }
 
-/// Total copy-on-write copies since process start (mutations of a shared or
+/// Copy-on-write copies made on this thread (mutations of a shared or
 /// windowed buffer).
 pub fn cow_count() -> u64 {
-    COW_COPIES.load(Ordering::Relaxed)
+    WireCounts::now().cows
 }
 
-/// A scoped measurement window over the process-global wire counters
-/// (buffer allocations, CoW copies, digest computations).
-///
-/// The counters are shared by every thread in the process, so concurrent
-/// counter-sensitive tests would corrupt each other's deltas. A span takes
-/// a process-wide lock for its lifetime: tests simply hold a span instead
-/// of hand-rolling a shared mutex, and read deltas relative to the values
-/// captured at creation.
+/// A scoped measurement window over the calling thread's wire counters
+/// (buffer allocations, CoW copies, digest computations), read as deltas
+/// relative to the values captured at creation. The counters are per
+/// thread, so concurrent tests cannot disturb each other's spans.
 ///
 /// ```
 /// use extmem_wire::bytes::CounterSpan;
@@ -56,40 +122,30 @@ pub fn cow_count() -> u64 {
 /// assert_eq!(span.cows(), 0);
 /// ```
 pub struct CounterSpan {
-    _lock: std::sync::MutexGuard<'static, ()>,
-    allocs0: u64,
-    cows0: u64,
-    digests0: u64,
+    start: WireCounts,
 }
 
 impl CounterSpan {
-    /// Open a measurement window, blocking until no other span is live.
+    /// Open a measurement window.
     pub fn begin() -> CounterSpan {
-        static SPAN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // A panicking holder poisons the mutex but leaves the counters
-        // merely larger; the next span re-baselines, so poison is harmless.
-        let lock = SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         CounterSpan {
-            _lock: lock,
-            allocs0: alloc_count(),
-            cows0: cow_count(),
-            digests0: crate::packet::digest_compute_count(),
+            start: WireCounts::now(),
         }
     }
 
     /// Backing-buffer allocations since the span opened.
     pub fn allocs(&self) -> u64 {
-        alloc_count() - self.allocs0
+        WireCounts::now().since(self.start).allocs
     }
 
     /// Copy-on-write copies since the span opened.
     pub fn cows(&self) -> u64 {
-        cow_count() - self.cows0
+        WireCounts::now().since(self.start).cows
     }
 
     /// Cold digest computations since the span opened.
     pub fn digests(&self) -> u64 {
-        crate::packet::digest_compute_count() - self.digests0
+        WireCounts::now().since(self.start).digests
     }
 }
 
@@ -124,7 +180,7 @@ impl Payload {
         if bytes.is_empty() {
             return Payload::empty();
         }
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.allocs += 1);
         let len = bytes.len();
         Payload {
             buf: Arc::new(bytes),
@@ -187,7 +243,7 @@ impl Payload {
     pub fn make_mut(&mut self) -> &mut [u8] {
         let whole = self.off == 0 && self.len == self.buf.len();
         if !(whole && Arc::strong_count(&self.buf) == 1) {
-            COW_COPIES.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.cows += 1);
             *self = Payload::copy_from_slice(self.as_slice());
         }
         // The replacement above guarantees unique ownership; an empty

@@ -43,7 +43,7 @@ pub mod reth;
 pub mod roce;
 pub mod udp;
 
-pub use bytes::{CounterSpan, Payload};
+pub use bytes::{CounterSpan, Payload, WireCounts};
 pub use error::WireError;
 pub use ethernet::{EtherType, EthernetHeader, MacAddr};
 pub use ipv4::Ipv4Header;

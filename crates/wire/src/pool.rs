@@ -1,4 +1,4 @@
-//! A process-global recycling pool for frame buffers.
+//! A per-thread recycling pool for frame buffers.
 //!
 //! Encode loops (the RNIC responder, the switch channels, the E1 traffic
 //! nodes) each build thousands of frames per simulated millisecond, and the
@@ -13,13 +13,14 @@
 //! count and per-buffer capacity so a burst of jumbo frames cannot pin
 //! memory forever. The [`hit_count`]/[`miss_count`] counters feed the
 //! scheduler-stats report of the perf harness (`simperf --sched-stats`).
+//!
+//! The free list and its counters are per thread: the parallel engine's
+//! workers each recycle into their own list and never contend for a lock.
+//! A buffer taken on one thread and recycled on another simply moves to
+//! the second thread's list.
 
-use crate::bytes::Payload;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+use crate::bytes::{count, Payload, WireCounts};
+use std::cell::RefCell;
 
 /// Upper bound on free-list entries; beyond it, returned buffers are
 /// dropped (quiescent simulations should not pin a whole run's frames).
@@ -29,25 +30,21 @@ const MAX_POOLED: usize = 1024;
 /// must not turn into a permanently-retained one.
 const MAX_POOLED_CAPACITY: usize = 64 * 1024;
 
-static FREE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-
-fn free_list() -> std::sync::MutexGuard<'static, Vec<Vec<u8>>> {
-    // A panic while holding the lock leaves only recyclable buffers
-    // behind; the pool stays usable.
-    FREE.lock().unwrap_or_else(|e| e.into_inner())
+thread_local! {
+    static FREE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Take a buffer from the pool (cleared, capacity retained), or a fresh
-/// empty `Vec` when the pool is dry.
+/// Take a buffer from this thread's pool (cleared, capacity retained), or
+/// a fresh empty `Vec` when the pool is dry.
 pub fn take() -> Vec<u8> {
-    match free_list().pop() {
+    match FREE.with_borrow_mut(Vec::pop) {
         Some(mut buf) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.pool_hits += 1);
             buf.clear();
             buf
         }
         None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.pool_misses += 1);
             Vec::new()
         }
     }
@@ -59,10 +56,11 @@ pub fn give(buf: Vec<u8>) {
     if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
         return;
     }
-    let mut free = free_list();
-    if free.len() < MAX_POOLED {
-        free.push(buf);
-    }
+    FREE.with_borrow_mut(|free| {
+        if free.len() < MAX_POOLED {
+            free.push(buf);
+        }
+    });
 }
 
 /// Recover `payload`'s backing buffer into the pool if this was its sole
@@ -73,27 +71,22 @@ pub fn recycle(payload: Payload) {
     }
 }
 
-/// Pool hits (a [`take`] served from the free list) since process start.
+/// Pool hits (a [`take`] served from the free list) on this thread.
 pub fn hit_count() -> u64 {
-    HITS.load(Ordering::Relaxed)
+    WireCounts::now().pool_hits
 }
 
-/// Pool misses (a [`take`] that had to allocate) since process start.
+/// Pool misses (a [`take`] that had to allocate) on this thread.
 pub fn miss_count() -> u64 {
-    MISSES.load(Ordering::Relaxed)
+    WireCounts::now().pool_misses
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The pool is process-global, so tests serialize on the counter span
-    // lock used by the other wire counters.
-    use crate::bytes::CounterSpan;
-
     #[test]
     fn take_give_roundtrip_reuses_capacity() {
-        let _span = CounterSpan::begin();
         let mut b = take();
         b.extend_from_slice(&[1, 2, 3, 4]);
         let cap = b.capacity();
@@ -107,7 +100,6 @@ mod tests {
 
     #[test]
     fn recycle_recovers_sole_owner_only() {
-        let _span = CounterSpan::begin();
         // Shared payload: not recovered.
         let p = Payload::from_vec(vec![9; 64]);
         let clone = p.clone();
@@ -126,9 +118,8 @@ mod tests {
 
     #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
-        let _span = CounterSpan::begin();
         // Drain the free list so the next take is a deterministic miss.
-        free_list().clear();
+        FREE.with_borrow_mut(Vec::clear);
         give(Vec::new());
         give(Vec::with_capacity(MAX_POOLED_CAPACITY + 1));
         let misses0 = miss_count();

@@ -39,6 +39,14 @@ echo "== crash/failover cells (release) =="
 # shards counting.
 cargo test -q --release --test fault_matrix crash_
 
+echo "== wire-counter isolation (release, 5 runs x 8 test threads) =="
+# The zero-copy tests assert exact alloc/CoW/digest deltas while sibling
+# tests build packets on other threads. The counters are per thread, so
+# the deltas must hold on every run however the tests interleave.
+for _ in 1 2 3 4 5; do
+    cargo test -q --release --test payload_sharing -- --test-threads 8
+done
+
 echo "== scheduler equivalence proptests (release) =="
 # The timing-wheel vs binary-heap oracle properties plus the parallel
 # engine's lookahead-safety and digest-equivalence properties, under the

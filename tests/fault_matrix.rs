@@ -1209,6 +1209,15 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     sim.schedule_timer(gen, TimeDelta::ZERO, TrafficGenNode::KICK_TOKEN);
     let victim = if crash_primary { server_a } else { server_b };
     let survivor = if crash_primary { server_b } else { server_a };
+    if sim.par_stats().partitions > 1 {
+        // The parallel replay's point: the crashed server and the switch
+        // driving it are on different workers.
+        assert_ne!(
+            sim.partition_of(victim),
+            sim.partition_of(switch),
+            "crashed server shares the switch's partition"
+        );
+    }
     // Mid-workload (traffic spans ~600us).
     sim.schedule_crash(victim, TimeDelta::from_micros(200));
     if rejoin {

@@ -13,27 +13,15 @@
 //! 3. **Determinism under load** — the high-load incast scenario produces
 //!    identical statistics *and* event counts across same-seed runs.
 //!
-//! The alloc/CoW counters in `extmem_wire::bytes` are process-global, so a
-//! sibling test building packets on another thread would land in a running
-//! test's delta. Every test therefore holds the file's [`serial`] guard for
-//! its whole body, workload construction included, and measures its run
-//! inside a [`CounterSpan`] that scopes the deltas.
+//! The alloc/CoW/digest counters in `extmem_wire` are per thread (the
+//! parallel engine credits its workers' counts to the calling thread), so
+//! sibling tests running concurrently never land in each other's deltas.
+//! Each test measures its run inside a [`CounterSpan`] that scopes them.
 
 use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_sim::{FaultSpec, LinkSpec, Node, NodeCtx, SimBuilder};
 use extmem_types::{PortId, TimeDelta};
 use extmem_wire::{CounterSpan, Packet};
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes the tests of this file end to end. A [`CounterSpan`] alone
-/// orders only the measured runs; packets a sibling builds outside its span
-/// would still count against whichever span is open.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    // A failed test poisons the mutex but leaves nothing half-measured: the
-    // next test opens a fresh span.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Sends pre-built packets (constructed before the run so in-run allocation
 /// deltas are attributable to the engine, not the workload) and keeps a
@@ -116,7 +104,7 @@ impl Node for Capture {
 /// Build a sender → N forwarding hops → capture chain and run `packets`
 /// pre-built 1500 B packets through it. Returns (kept sender copies,
 /// received packets, alloc delta, cow delta, digest delta) measured across
-/// the run only, by the internal [`CounterSpan`]. Callers hold [`serial`].
+/// the run only, by the internal [`CounterSpan`].
 fn run_chain(
     hops: usize,
     packets: Vec<Packet>,
@@ -159,7 +147,6 @@ fn run_chain(
     let span = CounterSpan::begin();
     sim.run_to_quiescence();
     let (allocs, cows, digests) = (span.allocs(), span.cows(), span.digests());
-    drop(span);
     let got = std::mem::take(&mut sim.node_mut::<Capture>(cap).got);
     let kept = std::mem::take(&mut sim.node_mut::<Sender>(sender).kept);
     assert_eq!(got.len() as u64, n, "all packets delivered");
@@ -180,7 +167,6 @@ fn test_packets(count: usize) -> Vec<Packet> {
 
 #[test]
 fn forwarding_does_not_allocate_or_copy() {
-    let _serial = serial();
     // 20 packets across 4 store-and-forward hops: the engine must move the
     // shared buffers without a single new allocation or CoW copy, even
     // though the sender still holds a clone of every packet.
@@ -194,7 +180,6 @@ fn forwarding_does_not_allocate_or_copy() {
 
 #[test]
 fn hop_count_does_not_change_allocations() {
-    let _serial = serial();
     let clean = FaultSpec::default();
     let (_, _, a1, _, _) = run_chain(1, test_packets(10), clean);
     let (_, _, a5, _, _) = run_chain(5, test_packets(10), clean);
@@ -204,7 +189,6 @@ fn hop_count_does_not_change_allocations() {
 
 #[test]
 fn corrupting_one_in_flight_copy_is_isolated() {
-    let _serial = serial();
     // Every packet is corrupted on the first link while the sender holds a
     // clone: the flip must CoW exactly once per packet and the sender's
     // copies must stay pristine all the way through delivery.
@@ -238,7 +222,6 @@ fn corrupting_one_in_flight_copy_is_isolated() {
 
 #[test]
 fn corruption_of_unshared_packet_mutates_in_place() {
-    let _serial = serial();
     // Control for the CoW accounting: when nobody else holds the buffer,
     // the injector's flip must happen in place (no copy, no allocation).
     struct Blast {
@@ -282,7 +265,6 @@ fn corruption_of_unshared_packet_mutates_in_place() {
 
 #[test]
 fn multi_hop_forwarding_digests_each_packet_once() {
-    let _serial = serial();
     // The trace folds every delivery's content digest, but the digest is
     // cached in the packet: 12 packets across 5 hops (6 deliveries each)
     // must cost exactly 12 cold digest computations, not 72.
@@ -315,9 +297,6 @@ fn multi_hop_forwarding_digests_each_packet_once() {
 
 #[test]
 fn high_load_incast_is_deterministic_event_for_event() {
-    // The runs inflate the process-global counters; the serial guard keeps
-    // them out of the other tests' measurement windows.
-    let _serial = serial();
     // Two same-seed runs of the 8-sender line-rate incast (with the
     // remote-buffer detour engaged) must agree on every statistic,
     // including the total event and per-hop packet counts — the strongest

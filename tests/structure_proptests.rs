@@ -496,8 +496,9 @@ mod parallel_engine {
         )
     }
 
-    /// Build the topology with all generators first and all sinks last, so
-    /// the contiguous partitioner splits every pair across the worker
+    /// Build the topology with all generators first and all sinks last. A
+    /// gen→sink pair is two single-link nodes, which the partitioner places
+    /// by the contiguous index split, so every pair straddles the worker
     /// boundary and each gen→sink link is a cross-partition channel.
     fn run(pairs: &[Pair], seed: u64, threads: usize) -> (u64, u64, u64, extmem_sim::ParStats) {
         with_sched_backend(SchedBackend::Parallel(threads), || {
