@@ -13,8 +13,8 @@ use crate::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
 use crate::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine, FaaStats};
 use extmem_core::sketch::{SketchGeometry, SketchKind, SketchProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{Fib, RdmaChannel, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder};
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -103,7 +103,8 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     fib.install(host_mac(0), PortId(0));
     fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, cfg.faa);
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(50));
 
     let flows: Vec<FiveTuple> = (0..cfg.n_flows)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 30_000 + i as u16, 9_000, 17))
@@ -149,7 +150,7 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
 
     let sink = sim.node::<SinkNode>(receiver);
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let nic = sim.node::<RnicNode>(server);
     let remote = read_remote_counters(nic, rkey, base_va, cfg.counters);
 
@@ -157,7 +158,7 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
     let exact_slots = prog
         .oracle
         .iter()
-        .filter(|(slot, &v)| remote[**slot as usize] == v)
+        .filter(|(&(_, slot), &v)| remote[slot as usize] == v)
         .count();
 
     // Fig 3b metric: FaA traffic on the switch↔server link, averaged over
@@ -178,7 +179,7 @@ pub fn run_counting(cfg: CountingConfig) -> CountingResult {
         truth_total,
         exact_slots,
         truth_slots: prog.oracle.len(),
-        faa: prog.faa_stats(),
+        faa: prog.engine(0).stats(),
         faa_request_bw: throughput(to_server.delivered_bytes, active),
         faa_response_bw: throughput(from_server.delivered_bytes, active),
         goodput: if elapsed > TimeDelta::ZERO {

@@ -15,8 +15,8 @@ use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
 use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_bench::table::print_table;
 use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, PoolConfig, PoolStats, RdmaChannel};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{Fib, PoolConfig, PoolStats, RdmaChannel, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder};
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -68,7 +68,8 @@ fn probe(fault: Fault, count: u64) -> Out {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
     let mut b = SimBuilder::new(191);
     let switch = b.add_node(Box::new(SwitchNode::new(
         "tor",
@@ -112,8 +113,8 @@ fn probe(fault: Fault, count: u64) -> Out {
     sim.run_until(Time::from_micros(count) + TimeDelta::from_millis(10));
 
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let stats = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let stats = prog.engine(0).stats();
     let truth: u64 = prog.oracle.values().sum();
     let dump_a = read_remote_counters(sim.node::<RnicNode>(server_a), rkey, base_va, counters);
     let dump_b = read_remote_counters(sim.node::<RnicNode>(server_b), rkey, base_va, counters);

@@ -16,8 +16,8 @@ use extmem_bench::table::print_table;
 use extmem_core::channel::ChannelStats;
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel, ReliableConfig};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{Fib, RdmaChannel, ReliableConfig, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec, SimBuilder};
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -126,7 +126,8 @@ fn probe_state_store(loss: f64, count: u64) -> Out {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
     let mut b = SimBuilder::new(173);
     let switch = b.add_node(Box::new(SwitchNode::new(
         "tor",
@@ -157,8 +158,8 @@ fn probe_state_store(loss: f64, count: u64) -> Out {
     sim.run_until(Time::from_millis(50));
 
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     let nic = sim.node::<RnicNode>(server);
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
     let truth: u64 = prog.oracle.values().sum();

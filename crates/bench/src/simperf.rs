@@ -51,7 +51,7 @@ use extmem_core::lookup::{
     LookupTableProgram,
 };
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram, TOKEN_START_LOADING};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
 use extmem_core::{CuckooConfig, CuckooDirectory, Fib, L2Program, PoolConfig, RdmaChannel, ReliableConfig};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{
@@ -671,7 +671,8 @@ pub fn faa_storm(count: u64) -> PerfResult {
     fib.install(host_mac(0), PortId(0));
     fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(20));
 
     let flows: Vec<FiveTuple> = (0..16)
         .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 40_000 + i, 9_000, 17))
@@ -714,13 +715,13 @@ pub fn faa_storm(count: u64) -> PerfResult {
     });
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     assert_eq!(
         prog.forwarded, count,
         "telemetry must not cost forwarded packets"
     );
     assert!(prog.is_quiescent(), "updates still pending at the deadline");
-    let stats = prog.faa_stats();
+    let stats = prog.engine(0).stats();
     assert_eq!(stats.updates, count);
     assert!(
         stats.merged > 0,
@@ -890,7 +891,8 @@ pub fn server_failover(count: u64) -> PerfResult {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
     let mut b = SimBuilder::new(71);
     let switch = b.add_node(Box::new(SwitchNode::new(
         "tor",
@@ -929,8 +931,8 @@ pub fn server_failover(count: u64) -> PerfResult {
     let wall = start.elapsed().as_secs_f64();
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let stats = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let stats = prog.engine(0).stats();
     assert!(prog.is_quiescent(), "stuck window: {stats:?}");
     assert!(!prog.is_degraded(), "pool must survive the crash: {stats:?}");
     assert!(stats.pool.failovers >= 1, "no failover: {stats:?}");
@@ -1030,7 +1032,12 @@ pub fn fabric_fanout(count: u64, threads: usize) -> PerfResult {
                     ..Default::default()
                 },
             );
-            let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+            let prog = ShardedStateStoreProgram::new(
+                fib,
+                vec![(0, engine, true)],
+                1,
+                TimeDelta::from_micros(20),
+            );
             let switch = b.add_node(Box::new(SwitchNode::new(
                 format!("tor{p}"),
                 SwitchConfig::default(),
@@ -1105,8 +1112,8 @@ pub fn fabric_fanout(count: u64, threads: usize) -> PerfResult {
         r.name = name;
         for p in 0..PODS {
             let sw: &SwitchNode = sim.node::<SwitchNode>(switches[p]);
-            let prog = sw.program::<StateStoreProgram>();
-            let stats = prog.faa_stats();
+            let prog = sw.program::<ShardedStateStoreProgram>();
+            let stats = prog.engine(0).stats();
             assert!(prog.is_quiescent(), "pod {p}: stuck window: {stats:?}");
             assert!(!prog.is_degraded(), "pod {p}: pool degraded: {stats:?}");
             // Local + locally injected cross + ring arrivals from p-1.
@@ -1119,7 +1126,7 @@ pub fn fabric_fanout(count: u64, threads: usize) -> PerfResult {
             let (rkey, base_va) = keys[p];
             let dump = read_remote_counters(sim.node::<RnicNode>(servers[p]), rkey, base_va, counters);
             let mut expected = vec![0u64; counters as usize];
-            for (&slot, &v) in &prog.oracle {
+            for (&(_, slot), &v) in &prog.oracle {
                 expected[slot as usize] += v;
             }
             assert_eq!(dump, expected, "pod {p}: settled counters must be exact");

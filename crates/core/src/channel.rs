@@ -19,7 +19,6 @@ use extmem_wire::bth::{psn_add, psn_before, Opcode};
 use extmem_wire::roce::{RoceEndpoint, RoceExt, RocePacket};
 use extmem_wire::{Packet, Payload};
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Everything the switch data plane needs to use one remote memory region:
 /// the paper's `(QPN, base address, Rkey)` triple plus the requester-side
@@ -71,22 +70,7 @@ impl RdmaChannel {
         nic: &mut RnicNode,
         region_size: ByteSize,
     ) -> RdmaChannel {
-        Self::setup_with(switch_endpoint, server_port, nic, region_size, false)
-    }
-
-    /// [`RdmaChannel::setup`] over a best-effort (relaxed-PSN) QP: the
-    /// responder accepts any PSN, so lost RDMA packets degrade to lost data
-    /// instead of NAKs. The shipping primitives no longer use this — they
-    /// run [`ReliableChannel`] over a strict QP and retransmit — but it
-    /// remains the substrate for best-effort experiments (§7 discusses the
-    /// trade-off).
-    pub fn setup_relaxed(
-        switch_endpoint: RoceEndpoint,
-        server_port: PortId,
-        nic: &mut RnicNode,
-        region_size: ByteSize,
-    ) -> RdmaChannel {
-        Self::setup_with(switch_endpoint, server_port, nic, region_size, true)
+        Self::setup_at_psn(switch_endpoint, server_port, nic, region_size, 0)
     }
 
     /// [`RdmaChannel::setup`] starting the PSN sequence at `start_psn`
@@ -100,29 +84,11 @@ impl RdmaChannel {
         start_psn: u32,
     ) -> RdmaChannel {
         let (rkey, base_va) = nic.register_region(region_size);
-        let qpn = nic.create_qp_with(switch_endpoint, SWITCH_QPN, start_psn, false);
+        let qpn = nic.create_qp(switch_endpoint, SWITCH_QPN, start_psn);
         let mut qp = RequesterQp::new(switch_endpoint, nic.endpoint(), qpn, nic.mtu());
         qp.npsn = start_psn;
         RdmaChannel {
             qp,
-            rkey,
-            base_va,
-            region_len: region_size.bytes(),
-            server_port,
-        }
-    }
-
-    fn setup_with(
-        switch_endpoint: RoceEndpoint,
-        server_port: PortId,
-        nic: &mut RnicNode,
-        region_size: ByteSize,
-        relaxed: bool,
-    ) -> RdmaChannel {
-        let (rkey, base_va) = nic.register_region(region_size);
-        let qpn = nic.create_qp_with(switch_endpoint, SWITCH_QPN, 0, relaxed);
-        RdmaChannel {
-            qp: RequesterQp::new(switch_endpoint, nic.endpoint(), qpn, nic.mtu()),
             rkey,
             base_va,
             region_len: region_size.bytes(),
@@ -243,52 +209,6 @@ impl ChannelStats {
         self.max_backoff_level = self.max_backoff_level.max(other.max_backoff_level);
         self.failed_over |= other.failed_over;
         self.recoveries += other.recoveries;
-    }
-
-    /// JSON object with every counter — the uniform serialization the chaos
-    /// harness and `simperf` embed instead of ad-hoc formatting.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ops_issued\":{},\"acks\":{},\"naks\":{},\"retransmits\":{},\
-             \"timeouts\":{},\"duplicate_drops\":{},\"aged_out\":{},\
-             \"naks_suppressed\":{},\"backoff_level\":{},\"max_backoff_level\":{},\
-             \"failed_over\":{},\"recoveries\":{}}}",
-            self.ops_issued,
-            self.acks,
-            self.naks,
-            self.retransmits,
-            self.timeouts,
-            self.duplicate_drops,
-            self.aged_out,
-            self.naks_suppressed,
-            self.backoff_level,
-            self.max_backoff_level,
-            self.failed_over,
-            self.recoveries,
-        )
-    }
-}
-
-impl fmt::Display for ChannelStats {
-    /// Compact one-line form: `ops=… acks=… … failed=… rec=…`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ops={} acks={} naks={} retx={} timeouts={} dups={} aged={} \
-             sup={} backoff={}/{} failed={} rec={}",
-            self.ops_issued,
-            self.acks,
-            self.naks,
-            self.retransmits,
-            self.timeouts,
-            self.duplicate_drops,
-            self.aged_out,
-            self.naks_suppressed,
-            self.backoff_level,
-            self.max_backoff_level,
-            self.failed_over,
-            self.recoveries,
-        )
     }
 }
 
@@ -440,7 +360,7 @@ pub struct ReliableChannel {
 
 /// Default timer token; distinct from every shipping primitive's own
 /// tokens. Programs juggling several channels assign unique tokens via
-/// [`ReliableChannel::set_timer_token`].
+/// [`crate::pool::ReplicatedPool::set_timer_tokens`].
 pub const DEFAULT_CHANNEL_TIMER_TOKEN: u64 = 0x7a11;
 
 impl ReliableChannel {
@@ -467,9 +387,9 @@ impl ReliableChannel {
         self.timer_token
     }
 
-    /// Assign the timer token (before traffic flows). Owning programs set
-    /// this so channel wakeups don't collide with their own tokens.
-    pub fn set_timer_token(&mut self, token: u64) {
+    /// Assign the timer token (before traffic flows). Owning pools set
+    /// this so channel wakeups don't collide with their programs' tokens.
+    pub(crate) fn set_timer_token(&mut self, token: u64) {
         assert!(self.timer.is_none(), "retoken an idle channel");
         self.timer_token = token;
     }

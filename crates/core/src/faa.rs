@@ -13,14 +13,15 @@
 //!   at least `min_batch`, trading update delay for bandwidth — "combine
 //!   multiple counter updates into a single operation, at the cost of some
 //!   delay in updates".
-//! * **Reliability** (`reliable`): issue through a [`ReliableChannel`] in
-//!   reliable mode, making the remote counters exact even over a lossy
-//!   channel — "implement parsing and handling of RDMA ACKs/NACKs to make
-//!   certain remote memory reliable, e.g., in the remote counter case".
+//! * **Reliability** (`reliable`): issue through a
+//!   [`crate::channel::ReliableChannel`] in reliable mode, making the
+//!   remote counters exact even over a lossy channel — "implement parsing
+//!   and handling of RDMA ACKs/NACKs to make certain remote memory
+//!   reliable, e.g., in the remote counter case".
 //!   Past the channel's retry cap the engine degrades gracefully: it keeps
 //!   accumulating locally, so no update is ever silently dropped.
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableConfig};
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_switch::SwitchCtx;
 use extmem_types::{PortId, TimeDelta};
@@ -106,20 +107,7 @@ impl FaaEngine {
     /// Create an engine over `channel`. The channel's region is an array of
     /// 64-bit counters; `slot` arguments index into it.
     pub fn new(channel: RdmaChannel, config: FaaConfig) -> FaaEngine {
-        assert!(
-            config.max_outstanding > 0,
-            "need at least one outstanding slot"
-        );
-        assert!(config.min_batch > 0, "min_batch must be positive");
-        let rc = if config.reliable {
-            ReliableConfig {
-                rto: config.rto,
-                ..Default::default()
-            }
-        } else {
-            ReliableConfig::best_effort(config.rto)
-        };
-        Self::over_pool(ReplicatedPool::single(ReliableChannel::new(channel, rc)), config)
+        Self::build(vec![channel], config, PoolConfig::default())
     }
 
     /// Create an engine over a replicated pool of `channels` (one per
@@ -135,21 +123,24 @@ impl FaaEngine {
             "replicated engines require reliable mode (mirrors are \
              reconciled by replay, which needs completions)"
         );
-        let rc = ReliableConfig {
-            rto: config.rto,
-            ..Default::default()
-        };
-        let pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, rc))
-                .collect(),
-            pool_config,
-        );
-        Self::over_pool(pool, config)
+        Self::build(channels, config, pool_config)
     }
 
-    fn over_pool(mut pool: ReplicatedPool, config: FaaConfig) -> FaaEngine {
+    fn build(channels: Vec<RdmaChannel>, config: FaaConfig, pool_config: PoolConfig) -> FaaEngine {
+        assert!(
+            config.max_outstanding > 0,
+            "need at least one outstanding slot"
+        );
+        assert!(config.min_batch > 0, "min_batch must be positive");
+        let rc = if config.reliable {
+            ReliableConfig {
+                rto: config.rto,
+                ..Default::default()
+            }
+        } else {
+            ReliableConfig::best_effort(config.rto)
+        };
+        let mut pool = ReplicatedPool::new(channels, rc, pool_config);
         // Mirror delta replay shares the caller updates' window: both are
         // FaAs against the same RNIC outstanding-atomics cap.
         pool.set_replay_window(config.max_outstanding);

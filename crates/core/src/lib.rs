@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | packet buffer | [`packet_buffer`] | ring buffer of fixed-size entries | WRITE + READ |
 //! | lookup table | [`lookup`] | fixed-size array of (action, packet) slots | WRITE + READ |
-//! | state store | [`state_store`], [`sketch`] | array of 64-bit counters | Fetch-and-Add |
+//! | state store | [`shard`], [`sketch`] | array of 64-bit counters | Fetch-and-Add |
 //! | state store (event capture) | [`trace_store`] | ring of 32-byte packet records | WRITE |
 //!
 //! Supporting modules:
@@ -22,6 +22,9 @@
 //!   [`channel::ReliableChannel`], the shared requester-side reliability
 //!   layer (§7: retry, resynchronize, degrade gracefully) every primitive
 //!   issues its RDMA ops through.
+//! * [`state_store`] — the operator's readback of remote counters. The
+//!   state-store program is [`ShardedStateStoreProgram`]; built over one
+//!   shard it is the paper's single-pool store.
 //! * [`fib`] — the basic L2 forwarding table every program embeds.
 //! * [`l2`] — the plain L2 switch program, the paper's §5 baseline.
 //! * [`faa`] — the Fetch-and-Add engine shared by the state-store and
@@ -37,8 +40,6 @@
 //!   primitive replaces (§2.2), for the A8 comparison.
 //! * [`cuckoo`] — the two-choice cuckoo directory + relocation planner
 //!   behind the one-RTT lookup mode (EMOMA-style filter-steered probing).
-//! * [`composite`] — multiple primitives on one switch (§1's coexistence
-//!   motivation): the gateway and telemetry in a single pipeline.
 //! * [`trace_store`] — WRITE-based packet-event capture (§2.3) plus
 //!   operator-side trace analysis (§7's "streaming packet trace analysis
 //!   system").
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod composite;
 pub mod cuckoo;
 pub mod faa;
 pub mod fib;
@@ -70,4 +70,3 @@ pub use l2::L2Program;
 pub use lookup::{ActionEntry, ActionKind, LookupTableProgram};
 pub use packet_buffer::PacketBufferProgram;
 pub use shard::{ShardRing, ShardStats, ShardedStateStoreProgram};
-pub use state_store::StateStoreProgram;

@@ -33,7 +33,7 @@
 //! is ever transiently unfindable. The direct-hash wire behavior stays
 //! available (the default constructors) as the ablation baseline.
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableConfig};
 use crate::cuckoo::{
     decode_slot, encode_slot, slot_key, slot_va, CuckooDirectory, Step, BUCKET_BYTES,
     SLOTS_PER_BUCKET, SLOT_BYTES,
@@ -54,8 +54,7 @@ use extmem_wire::{EthernetHeader, Ipv4Header, MacAddr, Packet, Payload, UdpHeade
 use std::collections::VecDeque;
 
 /// Timer token for the reliability-layer retransmission tick (routed to the
-/// program via the switch's program-token bit; distinct from the composite
-/// program's 0x41).
+/// program via the switch's program-token bit).
 const TOKEN_RELIABILITY_TICK: u64 = 0x31;
 
 /// Timer token that drains queued control-plane table ops (cuckoo mode).
@@ -500,38 +499,12 @@ impl LookupTableProgram {
         entry_size: u64,
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
-        let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-        channel.set_timer_token(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, ReplicatedPool::single(channel), entry_size, cache_capacity)
-    }
-
-    /// Create the program over a replicated pool of table servers (index 0
-    /// starts as primary). All servers must expose identical region
-    /// geometry; the control plane installs each action on every server.
-    pub fn replicated(
-        fib: Fib,
-        channels: Vec<RdmaChannel>,
-        entry_size: u64,
-        cache_capacity: Option<usize>,
-        pool_config: PoolConfig,
-    ) -> LookupTableProgram {
         let mut pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
-                .collect(),
-            pool_config,
+            vec![channel],
+            ReliableConfig::default(),
+            PoolConfig::default(),
         );
         pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, pool, entry_size, cache_capacity)
-    }
-
-    fn over_pool(
-        fib: Fib,
-        pool: ReplicatedPool,
-        entry_size: u64,
-        cache_capacity: Option<usize>,
-    ) -> LookupTableProgram {
         assert!(
             entry_size as usize > ACTION_LEN + LEN_FIELD,
             "entry too small"
@@ -568,9 +541,7 @@ impl LookupTableProgram {
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
         assert_bucket_geometry(&channel);
-        let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-        channel.set_timer_token(TOKEN_RELIABILITY_TICK);
-        Self::over_cuckoo(fib, ReplicatedPool::single(channel), dir, cache_capacity)
+        Self::over_cuckoo(fib, vec![channel], PoolConfig::default(), dir, cache_capacity)
     }
 
     /// One-RTT cuckoo mode over a replicated pool of table servers (index 0
@@ -591,23 +562,18 @@ impl LookupTableProgram {
         }
         pool_config.auto_promote = false;
         pool_config.reseed_atomics = false;
-        let mut pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
-                .collect(),
-            pool_config,
-        );
-        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
-        Self::over_cuckoo(fib, pool, dir, cache_capacity)
+        Self::over_cuckoo(fib, channels, pool_config, dir, cache_capacity)
     }
 
     fn over_cuckoo(
         fib: Fib,
-        pool: ReplicatedPool,
+        channels: Vec<RdmaChannel>,
+        pool_config: PoolConfig,
         dir: CuckooDirectory,
         cache_capacity: Option<usize>,
     ) -> LookupTableProgram {
+        let mut pool = ReplicatedPool::new(channels, ReliableConfig::default(), pool_config);
+        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
         assert!(
             pool.region_len() >= dir.region_bytes(),
             "remote region smaller than the cuckoo table"

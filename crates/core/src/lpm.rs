@@ -23,14 +23,14 @@
 //! rung" (the [`ActionKind::None`] encoding).
 //!
 //! **Response attribution:** every rung READ goes through the shared
-//! [`ReliableChannel`] with a `lookup-id × rung` cookie, so responses are
-//! matched to lookups by PSN rather than by position. Lost READs (or
-//! responses) are retransmitted; reordered responses fill their rung slot
-//! whenever they land; and if the channel fails over entirely the program
-//! degrades to FIB-only forwarding — wrong routes are structurally
-//! impossible, not just unlikely.
+//! [`crate::channel::ReliableChannel`] with a `lookup-id × rung` cookie,
+//! so responses are matched to lookups by PSN rather than by position.
+//! Lost READs (or responses) are retransmitted; reordered responses fill
+//! their rung slot whenever they land; and if the channel fails over
+//! entirely the program degrades to FIB-only forwarding — wrong routes are
+//! structurally impossible, not just unlikely.
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableConfig};
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use crate::fib::Fib;
 use crate::lookup::{ActionEntry, ActionKind, ACTION_LEN};
@@ -162,41 +162,15 @@ impl RemoteLpmProgram {
     pub fn new(
         fib: Fib,
         channel: RdmaChannel,
-        levels: Vec<u8>,
-        cache_capacity: Option<usize>,
-    ) -> RemoteLpmProgram {
-        let mut channel = ReliableChannel::new(channel, ReliableConfig::default());
-        channel.set_timer_token(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, ReplicatedPool::single(channel), levels, cache_capacity)
-    }
-
-    /// Create the program over a replicated pool of rung servers (index 0
-    /// starts as primary). The control plane installs every route on every
-    /// server.
-    pub fn replicated(
-        fib: Fib,
-        channels: Vec<RdmaChannel>,
-        levels: Vec<u8>,
-        cache_capacity: Option<usize>,
-        pool_config: PoolConfig,
-    ) -> RemoteLpmProgram {
-        let mut pool = ReplicatedPool::new(
-            channels
-                .into_iter()
-                .map(|ch| ReliableChannel::new(ch, ReliableConfig::default()))
-                .collect(),
-            pool_config,
-        );
-        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
-        Self::over_pool(fib, pool, levels, cache_capacity)
-    }
-
-    fn over_pool(
-        fib: Fib,
-        pool: ReplicatedPool,
         mut levels: Vec<u8>,
         cache_capacity: Option<usize>,
     ) -> RemoteLpmProgram {
+        let mut pool = ReplicatedPool::new(
+            vec![channel],
+            ReliableConfig::default(),
+            PoolConfig::default(),
+        );
+        pool.set_timer_tokens(TOKEN_RELIABILITY_TICK);
         assert!(!levels.is_empty(), "need at least one prefix length");
         assert!(levels.iter().all(|&l| l <= 32), "IPv4 prefix lengths only");
         normalize_levels(&mut levels);

@@ -21,16 +21,17 @@
 //!   property is tested end to end.
 //!
 //! Each ring entry is `[ring index: u32][length: u16][packet bytes…]`.
-//! Every WRITE and READ rides a per-server [`ReliableChannel`] with the
-//! ring index as its cookie: lost RDMA packets are retransmitted (§7's
-//! "retransmit the packet on the switch"), responses are attributed to
-//! their exact entry rather than by arrival position, and if a channel
-//! exhausts its retries the program degrades gracefully — new traffic stops
-//! detouring, in-ring entries on live servers still drain, and entries
-//! stranded on the dead server are counted lost rather than wedging the
-//! ring. With no loss the anomaly counters stay zero (asserted by tests).
+//! Every WRITE and READ rides a per-server
+//! [`crate::channel::ReliableChannel`] with the ring index as its cookie:
+//! lost RDMA packets are retransmitted (§7's "retransmit the packet on the
+//! switch"), responses are attributed to their exact entry rather than by
+//! arrival position, and if a channel exhausts its retries the program
+//! degrades gracefully — new traffic stops detouring, in-ring entries on
+//! live servers still drain, and entries stranded on the dead server are
+//! counted lost rather than wedging the ring. With no loss the anomaly
+//! counters stay zero (asserted by tests).
 
-use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableChannel, ReliableConfig};
+use crate::channel::{ChannelEvent, ChannelStats, RdmaChannel, ReliableConfig};
 use crate::fib::Fib;
 use crate::pool::{PoolConfig, PoolStats, ReplicatedPool};
 use extmem_rnic::RemoteOp;
@@ -163,21 +164,17 @@ impl PacketBufferProgram {
         rto: TimeDelta,
     ) -> PacketBufferProgram {
         assert!(!channels.is_empty(), "need at least one channel");
-        let rc = ReliableConfig {
-            rto,
-            ..Default::default()
-        };
-        let pools = channels
-            .into_iter()
-            .map(|c| ReplicatedPool::single(ReliableChannel::new(c, rc)))
-            .collect();
-        Self::from_pools(
+        // One-server pools never probe or rejoin, so the pool policy is
+        // moot for them.
+        Self::replicated(
             fib,
-            pools,
+            channels.into_iter().map(|c| vec![c]).collect(),
             protected_port,
             entry_size,
             mode,
             max_outstanding_reads,
+            rto,
+            PoolConfig::default(),
         )
     }
 
@@ -207,36 +204,10 @@ impl PacketBufferProgram {
             auto_promote: false,
             ..pool_config
         };
-        let pools = stripes
+        let mut pools: Vec<ReplicatedPool> = stripes
             .into_iter()
-            .map(|servers| {
-                ReplicatedPool::new(
-                    servers
-                        .into_iter()
-                        .map(|c| ReliableChannel::new(c, rc))
-                        .collect(),
-                    pc,
-                )
-            })
+            .map(|servers| ReplicatedPool::new(servers, rc, pc))
             .collect();
-        Self::from_pools(
-            fib,
-            pools,
-            protected_port,
-            entry_size,
-            mode,
-            max_outstanding_reads,
-        )
-    }
-
-    fn from_pools(
-        fib: Fib,
-        mut pools: Vec<ReplicatedPool>,
-        protected_port: PortId,
-        entry_size: u64,
-        mode: Mode,
-        max_outstanding_reads: u64,
-    ) -> PacketBufferProgram {
         assert!(!pools.is_empty(), "need at least one stripe");
         assert!(entry_size as usize > ENTRY_HDR, "entry too small");
         assert!(

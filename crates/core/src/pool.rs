@@ -28,11 +28,13 @@
 //!   their own drain discipline, like the packet buffer — promotion waits
 //!   for the caller's [`ReplicatedPool::complete_rejoin`].
 //!
-//! A single-server pool ([`ReplicatedPool::single`]) is a strict
-//! passthrough with no tracking overhead, so existing single-server
+//! A single-server pool (one channel passed to [`ReplicatedPool::new`])
+//! is a strict passthrough with no tracking overhead, so single-server
 //! primitives pay nothing.
 
-use crate::channel::{ChannelEvent, ReliableChannel};
+use crate::channel::{
+    ChannelEvent, RdmaChannel, ReliableChannel, ReliableConfig, DEFAULT_CHANNEL_TIMER_TOKEN,
+};
 use extmem_rnic::RemoteOp;
 use extmem_switch::SwitchCtx;
 use extmem_wire::extop::EXTOP_FLAG_HIT;
@@ -241,47 +243,6 @@ impl PoolStats {
         self.reseed_ops += other.reseed_ops;
         self.reissued_ops += other.reissued_ops;
     }
-
-    /// JSON object with every counter (same convention as
-    /// [`crate::channel::ChannelStats::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"servers\":{},\"unavailable\":{},\"failovers\":{},\"probes\":{},\
-             \"rejoins\":{},\"mirror_writes\":{},\"delta_accumulated\":{},\
-             \"delta_replayed\":{},\"reseed_ops\":{},\"reissued_ops\":{}}}",
-            self.servers,
-            self.unavailable,
-            self.failovers,
-            self.probes,
-            self.rejoins,
-            self.mirror_writes,
-            self.delta_accumulated,
-            self.delta_replayed,
-            self.reseed_ops,
-            self.reissued_ops,
-        )
-    }
-}
-
-impl fmt::Display for PoolStats {
-    /// Compact one-line form mirroring `ChannelStats`'s.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "servers={}/{} failovers={} probes={} rejoins={} mirror_wr={} \
-             delta={}+{} reseed={} reissued={}",
-            self.servers - self.unavailable,
-            self.servers,
-            self.failovers,
-            self.probes,
-            self.rejoins,
-            self.mirror_writes,
-            self.delta_accumulated,
-            self.delta_replayed,
-            self.reseed_ops,
-            self.reissued_ops,
-        )
-    }
 }
 
 /// A caller op in flight on the primary, kept so it can be reissued
@@ -387,51 +348,36 @@ pub struct ReplicatedPool {
 }
 
 impl ReplicatedPool {
-    /// A single-server pool: a strict passthrough to `channel` with zero
-    /// tracking overhead. Every existing single-server constructor wraps
-    /// its channel this way.
-    pub fn single(channel: ReliableChannel) -> ReplicatedPool {
-        Self::build(vec![channel], PoolConfig::default())
-    }
-
-    /// A replicated pool over `channels` (index 0 starts as primary). All
-    /// servers must present the same region geometry — the controller
-    /// registers identical layouts on each.
-    pub fn new(channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
+    /// A pool over `channels` (index 0 starts as primary), each wrapped in
+    /// the reliability layer under `rc`. All servers must present the same
+    /// region geometry — the controller registers identical layouts on
+    /// each — and a pool of more than one server needs reliable channels.
+    /// A one-server pool is a strict passthrough with zero tracking
+    /// overhead.
+    pub fn new(
+        channels: Vec<RdmaChannel>,
+        rc: ReliableConfig,
+        config: PoolConfig,
+    ) -> ReplicatedPool {
         assert!(!channels.is_empty(), "a pool needs at least one server");
         if channels.len() > 1 {
-            let (rkey, va, len) = (
-                channels[0].rkey(),
-                channels[0].base_va(),
-                channels[0].region_len(),
-            );
+            let first = &channels[0];
             for ch in &channels[1..] {
                 assert!(
-                    ch.rkey() == rkey && ch.base_va() == va && ch.region_len() == len,
+                    ch.rkey == first.rkey
+                        && ch.base_va == first.base_va
+                        && ch.region_len == first.region_len,
                     "pool servers must expose identical region triples"
                 );
-                assert!(
-                    ch.config().reliable,
-                    "replicated pools require reliable channels"
-                );
             }
-        }
-        Self::build(channels, config)
-    }
-
-    fn build(mut channels: Vec<ReliableChannel>, config: PoolConfig) -> ReplicatedPool {
-        let timer_base = channels[0].timer_token();
-        // Every channel needs its own retransmission-timer token; lay them
-        // out consecutively from the first channel's (a no-op for N=1).
-        for (i, ch) in channels.iter_mut().enumerate().skip(1) {
-            ch.set_timer_token(timer_base + i as u64);
+            assert!(rc.reliable, "replicated pools require reliable channels");
         }
         let n = channels.len() as u32;
-        ReplicatedPool {
+        let mut pool = ReplicatedPool {
             servers: channels
                 .into_iter()
                 .map(|channel| PoolServer {
-                    channel,
+                    channel: ReliableChannel::new(channel, rc),
                     health: HealthDetector::new(config.down_threshold),
                     seen_timeouts: 0,
                     seen_progress: 0,
@@ -450,13 +396,17 @@ impl ReplicatedPool {
             reseed: None,
             replay_window: usize::MAX,
             probe_armed: false,
-            timer_base,
+            timer_base: 0,
             failed: false,
             stats: PoolStats {
                 servers: n,
                 ..PoolStats::default()
             },
-        }
+        };
+        // Every channel needs its own retransmission-timer token; owning
+        // programs re-base the range with `set_timer_tokens`.
+        pool.set_timer_tokens(DEFAULT_CHANNEL_TIMER_TOKEN);
+        pool
     }
 
     /// Assign the pool's timer-token range: channel `i` arms `base + i`,
@@ -526,14 +476,14 @@ impl ReplicatedPool {
     }
 
     /// The reliability config in force (shared by every replica).
-    pub fn config(&self) -> crate::channel::ReliableConfig {
+    pub fn config(&self) -> ReliableConfig {
         self.servers[0].channel.config()
     }
 
     /// Override the reliability policy on every server's channel (before
     /// traffic flows). Replicated pools must stay reliable — mirror
     /// reconciliation replays completions.
-    pub fn set_config(&mut self, rc: crate::channel::ReliableConfig) {
+    pub fn set_config(&mut self, rc: ReliableConfig) {
         assert!(
             rc.reliable || self.servers.len() == 1,
             "replicated pools require reliable channels"
@@ -1332,7 +1282,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_merge_and_json() {
+    fn pool_stats_merge() {
         let mut a = PoolStats {
             servers: 2,
             failovers: 1,
@@ -1348,13 +1298,8 @@ mod tests {
         assert_eq!(a.servers, 4);
         assert_eq!(a.failovers, 1);
         assert_eq!(a.rejoins, 1);
-        let json = a.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"failovers\":1"));
-        assert!(format!("{a}").contains("failovers=1"));
     }
 
-    use crate::channel::RdmaChannel;
     use crate::state_store::read_remote_counters;
     use extmem_rnic::{RnicConfig, RnicNode};
     use extmem_sim::{LinkSpec, SimBuilder, Simulator};
@@ -1363,6 +1308,59 @@ mod tests {
     use extmem_types::{ByteSize, NodeId};
     use extmem_wire::roce::{RoceEndpoint, RocePacket};
     use extmem_wire::{MacAddr, Packet};
+
+    /// One channel per entry of `sizes` (region bytes), each server on its
+    /// own NIC (fresh NICs hand out identical rkeys and base addresses).
+    fn channels_of(sizes: &[u64]) -> Vec<RdmaChannel> {
+        let switch_ep = RoceEndpoint {
+            mac: MacAddr::local(100),
+            ip: 0x0a0000fe,
+        };
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| {
+                let ep = RoceEndpoint {
+                    mac: MacAddr::local(10 + i as u32),
+                    ip: 0x0a000010 + i as u32,
+                };
+                let mut nic = RnicNode::new("memsrv", RnicConfig::at(ep));
+                let region = ByteSize::from_bytes(bytes);
+                RdmaChannel::setup(switch_ep, PortId(i as u16), &mut nic, region)
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "identical region triples")]
+    fn pool_rejects_servers_with_different_regions() {
+        ReplicatedPool::new(
+            channels_of(&[1024, 2048]),
+            ReliableConfig::default(),
+            PoolConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "replicated pools require reliable channels")]
+    fn replicated_pool_rejects_best_effort_channels() {
+        ReplicatedPool::new(
+            channels_of(&[1024, 1024]),
+            ReliableConfig::best_effort(TimeDelta::from_micros(50)),
+            PoolConfig::default(),
+        );
+    }
+
+    #[test]
+    fn one_server_pool_accepts_best_effort_channels() {
+        let pool = ReplicatedPool::new(
+            channels_of(&[1024]),
+            ReliableConfig::best_effort(TimeDelta::from_micros(50)),
+            PoolConfig::default(),
+        );
+        assert_eq!(pool.server_count(), 1);
+        assert!(!pool.config().reliable);
+    }
 
     const WINDOW: usize = 8;
     const SLOTS: u64 = 256;
@@ -1473,18 +1471,15 @@ mod tests {
                     ip: 0x0a000010 + i as u32,
                 };
                 let mut nic = RnicNode::new("memsrv", RnicConfig::at(ep));
-                channels.push(ReliableChannel::new(
-                    RdmaChannel::setup(
-                        switch_ep,
-                        PortId(i as u16),
-                        &mut nic,
-                        ByteSize::from_bytes(SLOTS * 8),
-                    ),
-                    crate::channel::ReliableConfig::default(),
+                channels.push(RdmaChannel::setup(
+                    switch_ep,
+                    PortId(i as u16),
+                    &mut nic,
+                    ByteSize::from_bytes(SLOTS * 8),
                 ));
                 nics.push(nic);
             }
-            let mut pool = ReplicatedPool::new(channels, config);
+            let mut pool = ReplicatedPool::new(channels, ReliableConfig::default(), config);
             pool.set_timer_tokens(POOL_TIMERS);
             pool.set_replay_window(WINDOW);
             let driver = Driver {

@@ -1,5 +1,5 @@
 //! **Sharded external memory**: a consistent-hash ring over
-//! [`ReplicatedPool`]-backed shards.
+//! [`ReplicatedPool`](crate::pool::ReplicatedPool)-backed shards.
 //!
 //! The paper's capacity-expansion claim (§1/§2, E6) is that table capacity
 //! grows linearly with added memory servers. One switch against a handful
@@ -10,8 +10,8 @@
 //! removing a shard moves only ~1/(N+1) of the keys — the rebalance cost
 //! the `a12_capacity` experiment measures.
 //!
-//! [`ShardedStateStoreProgram`] is the state-store primitive rebuilt on
-//! this layer: per-flow counters spread over many pools, with per-shard
+//! [`ShardedStateStoreProgram`] is the state-store primitive on this
+//! layer: per-flow counters spread over one or many pools, with per-shard
 //! stats rollups and a live add/remove path (spare shards activate mid-run
 //! without stopping traffic).
 
@@ -170,10 +170,12 @@ pub struct ShardStats {
 
 /// The state-store primitive over a consistent-hash ring of shards.
 ///
-/// Forwarding is unchanged from [`crate::state_store::StateStoreProgram`];
-/// the counter update routes through the ring to one of N independent
-/// [`FaaEngine`]s, so total counter capacity is the sum of the shards'
-/// regions and grows linearly with added server pools.
+/// Every packet is forwarded first; its counter update then routes through
+/// the ring to one of N independent [`FaaEngine`]s, so total counter
+/// capacity is the sum of the shards' regions and grows linearly with
+/// added server pools. One active shard with one virtual node is the
+/// paper's single-pool state store: every flow lands on shard 0 at slot
+/// `flow_index(flow, counters)`.
 pub struct ShardedStateStoreProgram {
     /// L2 forwarding.
     pub fib: Fib,
@@ -423,6 +425,12 @@ impl PipelineProgram for ShardedStateStoreProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::RdmaChannel;
+    use crate::faa::FaaConfig;
+    use extmem_rnic::{RnicConfig, RnicNode};
+    use extmem_types::ByteSize;
+    use extmem_wire::roce::RoceEndpoint;
+    use extmem_wire::MacAddr;
 
     fn ring_of(n: u32, vnodes: usize) -> ShardRing {
         let mut r = ShardRing::new(vnodes);
@@ -487,6 +495,42 @@ mod tests {
         for (id, &c) in counts.iter().enumerate() {
             let skew = (c as f64 - ideal).abs() / ideal;
             assert!(skew < 0.35, "shard {id} holds {c} of {samples} (skew {skew:.2})");
+        }
+    }
+
+    #[test]
+    fn one_shard_ring_routes_every_flow_to_shard_zero_at_its_flow_slot() {
+        // The single-pool state store is the one-shard program: with one
+        // shard and one virtual node, routing adds nothing to the plain
+        // `flow_index` slot choice.
+        let switch_ep = RoceEndpoint {
+            mac: MacAddr::local(100),
+            ip: 0x0a0000fe,
+        };
+        let server_ep = RoceEndpoint {
+            mac: MacAddr::local(3),
+            ip: 0x0a000003,
+        };
+        let mut nic = RnicNode::new("memsrv", RnicConfig::at(server_ep));
+        let counters = 1024u64;
+        let channel = RdmaChannel::setup(
+            switch_ep,
+            PortId(2),
+            &mut nic,
+            ByteSize::from_bytes(counters * 8),
+        );
+        let engine = FaaEngine::new(channel, FaaConfig::default());
+        let prog = ShardedStateStoreProgram::new(
+            Fib::new(8),
+            vec![(0, engine, true)],
+            1,
+            TimeDelta::from_micros(20),
+        );
+        assert_eq!(prog.ring().shard_count(), 1);
+        assert_eq!(prog.counters_per_shard(), counters);
+        for i in 0..4096u32 {
+            let f = FiveTuple::new(0x0a000001 + (i >> 8), 0x0a000002, 4000 + i as u16, 9000, 17);
+            assert_eq!(prog.route_of(&f), (0, flow_index(&f, counters)));
         }
     }
 

@@ -10,141 +10,16 @@
 //! check).
 //!
 //! The remote region is an array of 64-bit counters, one per flow hash
-//! slot. The issuing discipline (outstanding bound + local accumulation)
-//! lives in [`crate::faa::FaaEngine`].
+//! slot. The pipeline program is
+//! [`ShardedStateStoreProgram`](crate::shard::ShardedStateStoreProgram):
+//! built over one active shard with one virtual node, it is the paper's
+//! single-pool state store (every flow routes to shard 0 at slot
+//! `flow_index(flow, counters)`). The issuing discipline (outstanding
+//! bound + local accumulation) lives in [`crate::faa::FaaEngine`]. This
+//! module holds the operator's readback of the remote counters.
 
-use crate::faa::{FaaEngine, FaaStats};
-use crate::fib::Fib;
-use crate::lookup::flow_of;
 use extmem_rnic::RnicNode;
-use extmem_switch::hash::flow_index;
-use extmem_switch::{PipelineProgram, SwitchCtx};
-use extmem_types::{PortId, Rkey, TimeDelta};
-use extmem_wire::roce::RocePacket;
-use extmem_wire::Packet;
-use std::collections::HashMap;
-
-/// Timer token for the periodic flush/retransmit tick.
-const TOKEN_TICK: u64 = 0x21;
-
-/// The state-store pipeline program: forwards traffic normally and counts
-/// every UDP flow packet into a remote counter.
-pub struct StateStoreProgram {
-    /// L2 forwarding.
-    pub fib: Fib,
-    engine: FaaEngine,
-    counters: u64,
-    tick_interval: TimeDelta,
-    tick_armed: bool,
-    /// Ground-truth per-slot counts maintained by the test oracle (the
-    /// simulated equivalent of §5's "verify the accuracy of the value in
-    /// the counter"). Not consulted by the data path.
-    pub oracle: HashMap<u64, u64>,
-    /// Packets forwarded.
-    pub forwarded: u64,
-}
-
-impl StateStoreProgram {
-    /// Create the program. The engine's channel region defines the counter
-    /// count (`region_len / 8`).
-    pub fn new(fib: Fib, engine: FaaEngine, tick_interval: TimeDelta) -> StateStoreProgram {
-        let counters = engine.slots();
-        StateStoreProgram {
-            fib,
-            engine,
-            counters,
-            tick_interval,
-            tick_armed: false,
-            oracle: HashMap::new(),
-            forwarded: 0,
-        }
-    }
-
-    /// Engine counters.
-    pub fn faa_stats(&self) -> FaaStats {
-        self.engine.stats()
-    }
-
-    /// Replication-layer counters (all zero for single-server engines).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.engine.pool().stats()
-    }
-
-    /// The engine's replication pool (health/failover inspection).
-    pub fn pool(&self) -> &crate::pool::ReplicatedPool {
-        self.engine.pool()
-    }
-
-    /// Values not yet settled on the remote counters.
-    pub fn in_transit(&self) -> u64 {
-        self.engine.in_transit()
-    }
-
-    /// Values accumulated locally and not yet sent.
-    pub fn pending_sum(&self) -> u64 {
-        self.engine.pending_sum()
-    }
-
-    /// Whether every update has been flushed and acknowledged.
-    pub fn is_quiescent(&self) -> bool {
-        self.engine.is_quiescent()
-    }
-
-    /// Whether the reliability layer gave up and updates accumulate
-    /// locally.
-    pub fn is_degraded(&self) -> bool {
-        self.engine.is_degraded()
-    }
-
-    /// The counter slot a flow maps to.
-    pub fn slot_of(&self, flow: &extmem_types::FiveTuple) -> u64 {
-        flow_index(flow, self.counters)
-    }
-}
-
-impl PipelineProgram for StateStoreProgram {
-    fn ingress(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, in_port: PortId, pkt: Packet) {
-        if !self.tick_armed {
-            self.tick_armed = true;
-            ctx.schedule(self.tick_interval, TOKEN_TICK);
-        }
-        if self.engine.owns_port(in_port) {
-            if let Ok(Some(roce)) = RocePacket::parse(&pkt) {
-                self.engine.on_roce(ctx, in_port, &roce);
-                drop(roce);
-                extmem_wire::pool::recycle(pkt.into_payload());
-                return;
-            }
-        }
-        // Forward through the regular pipeline first (the original packet
-        // is never delayed by the telemetry path).
-        let flow = flow_of(&pkt);
-        if let Some(port) = self.fib.egress_for(&pkt) {
-            self.forwarded += 1;
-            ctx.enqueue(port, pkt);
-        }
-        // Then update the remote counter from the (conceptual) clone.
-        if let Some(flow) = flow {
-            let slot = flow_index(&flow, self.counters);
-            *self.oracle.entry(slot).or_insert(0) += 1;
-            self.engine.add(ctx, slot, 1);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut SwitchCtx<'_, '_, '_>, token: u64) {
-        if token == TOKEN_TICK {
-            self.engine.flush(ctx);
-            self.engine.tick(ctx);
-            ctx.schedule(self.tick_interval, TOKEN_TICK);
-        } else {
-            self.engine.on_timer(ctx, token);
-        }
-    }
-
-    fn program_name(&self) -> &str {
-        "state-store-primitive"
-    }
-}
+use extmem_types::Rkey;
 
 /// Control plane: read all remote counters from the memory server (the
 /// operator running estimation jobs over the state store, §2.3).
@@ -162,13 +37,16 @@ pub fn read_remote_counters(nic: &RnicNode, rkey: Rkey, base_va: u64, counters: 
 mod tests {
     use super::*;
     use crate::channel::RdmaChannel;
-    use crate::faa::FaaConfig;
+    use crate::faa::{FaaConfig, FaaEngine};
+    use crate::fib::Fib;
+    use crate::shard::ShardedStateStoreProgram;
     use extmem_rnic::{RnicConfig, RnicNode};
     use extmem_sim::{LinkSpec, Node, NodeCtx, SimBuilder, Simulator, TxQueue};
     use extmem_switch::{SwitchConfig, SwitchNode};
-    use extmem_types::{ByteSize, FiveTuple, NodeId, Time};
+    use extmem_types::{ByteSize, FiveTuple, NodeId, PortId, Time, TimeDelta};
     use extmem_wire::payload::build_data_packet;
     use extmem_wire::MacAddr;
+    use extmem_wire::Packet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -259,7 +137,12 @@ mod tests {
         fib.install(MacAddr::local(1), PortId(0));
         fib.install(MacAddr::local(2), PortId(1));
         let engine = FaaEngine::new(channel, config);
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+        let prog = ShardedStateStoreProgram::new(
+            fib,
+            vec![(0, engine, true)],
+            1,
+            TimeDelta::from_micros(20),
+        );
 
         let flows: Vec<FiveTuple> = (0..n_flows)
             .map(|i| FiveTuple::new(0x0a000001, 0x0a000002, 5000 + i as u16, 9000, 17))
@@ -317,13 +200,13 @@ mod tests {
 
     fn remote_plus_transit_equals_oracle(r: &Rig) {
         let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-        let prog = sw.program::<StateStoreProgram>();
+        let prog = sw.program::<ShardedStateStoreProgram>();
         let nic = r.sim.node::<RnicNode>(r.memsrv);
         let remote = read_remote_counters(nic, r.rkey, r.base_va, r.counters);
         let oracle_total: u64 = prog.oracle.values().sum();
         let remote_total: u64 = remote.iter().sum();
         assert_eq!(
-            remote_total + prog.in_transit(),
+            remote_total + prog.engine(0).in_transit(),
             oracle_total,
             "conservation violated"
         );
@@ -334,7 +217,7 @@ mod tests {
         let mut r = rig(FaaConfig::default(), 500, 10, 500, 42);
         run_and_settle(&mut r);
         let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-        let prog = sw.program::<StateStoreProgram>();
+        let prog = sw.program::<ShardedStateStoreProgram>();
         assert!(prog.is_quiescent(), "updates still pending after settle");
         assert_eq!(prog.forwarded, 500);
         assert_eq!(r.sim.node::<Sink>(r.sink).rx, 500);
@@ -342,8 +225,8 @@ mod tests {
         // §5: "the updated value is 100% accurate".
         let nic = r.sim.node::<RnicNode>(r.memsrv);
         let remote = read_remote_counters(nic, r.rkey, r.base_va, r.counters);
-        for (slot, &expect) in &prog.oracle {
-            assert_eq!(remote[*slot as usize], expect, "slot {slot} wrong");
+        for (&(_, slot), &expect) in &prog.oracle {
+            assert_eq!(remote[slot as usize], expect, "slot {slot} wrong");
         }
         assert_eq!(remote.iter().sum::<u64>(), 500);
         assert_eq!(nic.stats().cpu_packets, 0);
@@ -362,8 +245,8 @@ mod tests {
         let mut r = rig(FaaConfig::default(), 2000, 4, 60, 7);
         run_and_settle(&mut r);
         let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-        let prog = sw.program::<StateStoreProgram>();
-        let s = prog.faa_stats();
+        let prog = sw.program::<ShardedStateStoreProgram>();
+        let s = prog.engine(0).stats();
         assert_eq!(s.updates, 2000);
         assert!(
             s.merged > 0,
@@ -407,11 +290,17 @@ mod tests {
         run_and_settle(&mut r8);
         let faa1 = {
             let sw: &SwitchNode = r1.sim.node::<SwitchNode>(r1.switch);
-            sw.program::<StateStoreProgram>().faa_stats().faa_sent
+            sw.program::<ShardedStateStoreProgram>()
+                .engine(0)
+                .stats()
+                .faa_sent
         };
         let faa8 = {
             let sw: &SwitchNode = r8.sim.node::<SwitchNode>(r8.switch);
-            sw.program::<StateStoreProgram>().faa_stats().faa_sent
+            sw.program::<ShardedStateStoreProgram>()
+                .engine(0)
+                .stats()
+                .faa_sent
         };
         assert!(
             faa8 < faa1,
@@ -420,7 +309,7 @@ mod tests {
         // Accuracy unaffected after flush.
         remote_plus_transit_equals_oracle(&r8);
         let sw: &SwitchNode = r8.sim.node::<SwitchNode>(r8.switch);
-        assert!(sw.program::<StateStoreProgram>().is_quiescent());
+        assert!(sw.program::<ShardedStateStoreProgram>().is_quiescent());
     }
 
     #[test]
@@ -434,14 +323,15 @@ mod tests {
         for deadline_us in [50, 120, 300, 1000] {
             r.sim.run_until(Time::from_micros(deadline_us));
             let sw: &SwitchNode = r.sim.node::<SwitchNode>(r.switch);
-            let prog = sw.program::<StateStoreProgram>();
+            let prog = sw.program::<ShardedStateStoreProgram>();
             let nic = r.sim.node::<RnicNode>(r.memsrv);
             let remote: u64 = read_remote_counters(nic, r.rkey, r.base_va, r.counters)
                 .iter()
                 .sum();
             let oracle: u64 = prog.oracle.values().sum();
-            assert!(remote + prog.pending_sum() <= oracle, "overcount!");
-            assert!(oracle <= remote + prog.in_transit(), "updates vanished!");
+            let engine = prog.engine(0);
+            assert!(remote + engine.pending_sum() <= oracle, "overcount!");
+            assert!(oracle <= remote + engine.in_transit(), "updates vanished!");
         }
         run_and_settle(&mut r);
         remote_plus_transit_equals_oracle(&r);
@@ -480,7 +370,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+        let prog = ShardedStateStoreProgram::new(
+            fib,
+            vec![(0, engine, true)],
+            1,
+            TimeDelta::from_micros(20),
+        );
 
         let mut b = SimBuilder::new(77);
         let source = b.add_node(Box::new(MultiFlowSource {
@@ -514,8 +409,8 @@ mod tests {
         sim.run_until(Time::from_millis(20));
 
         let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-        let prog = sw.program::<StateStoreProgram>();
-        let s = prog.faa_stats();
+        let prog = sw.program::<ShardedStateStoreProgram>();
+        let s = prog.engine(0).stats();
         assert!(
             s.retransmits > 0 || s.naks > 0,
             "loss should have triggered recovery: {s:?}"
@@ -558,7 +453,12 @@ mod tests {
         fib.install(MacAddr::local(1), PortId(0));
         fib.install(MacAddr::local(2), PortId(1));
         let engine = FaaEngine::new(channel, FaaConfig::default());
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(20));
+        let prog = ShardedStateStoreProgram::new(
+            fib,
+            vec![(0, engine, true)],
+            1,
+            TimeDelta::from_micros(20),
+        );
 
         // Seed picked so the drop pattern undercounts without tripping the
         // pool's failure detector — a burst of consecutive timeouts would
@@ -600,7 +500,7 @@ mod tests {
             .iter()
             .sum();
         let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-        let prog = sw.program::<StateStoreProgram>();
+        let prog = sw.program::<ShardedStateStoreProgram>();
         let oracle: u64 = prog.oracle.values().sum();
         assert!(
             remote < oracle,

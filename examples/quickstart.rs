@@ -11,8 +11,8 @@
 use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
 use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{Fib, RdmaChannel, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder};
 use extmem_switch::{SwitchConfig, SwitchNode};
@@ -39,12 +39,16 @@ fn main() {
 
     // ---------------------------------------------------------------
     // 2. The data-plane program: L2 forwarding + remote per-flow counting.
+    //    The state store takes a list of (shard id, engine, active)
+    //    shards; one shard with one ring point is the paper's single
+    //    memory server.
     // ---------------------------------------------------------------
     let mut fib = Fib::new(8);
     fib.install(host_mac(0), PortId(0));
     fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let program = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
+    let program =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(50));
 
     // ---------------------------------------------------------------
     // 3. Topology: sender -- switch -- receiver, memory server on port 2.
@@ -99,13 +103,13 @@ fn main() {
     );
 
     let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let nic = sim.node::<RnicNode>(server);
     let remote = read_remote_counters(nic, rkey, base_va, counters);
 
     println!("\nper-flow counters (read from the server's DRAM):");
     for f in &flows {
-        let slot = prog.slot_of(f);
+        let (_, slot) = prog.route_of(f);
         println!(
             "  {:?} -> slot {:4}: {:4} packets",
             f, slot, remote[slot as usize]
@@ -115,8 +119,8 @@ fn main() {
     println!("\nremote total = {total} (sent 1000)");
     println!(
         "FaA requests sent: {} (merged {} updates into fewer ops)",
-        prog.faa_stats().faa_sent,
-        prog.faa_stats().merged
+        prog.engine(0).stats().faa_sent,
+        prog.engine(0).stats().merged
     );
     println!(
         "server CPU packets: {} (zero CPU involvement)",

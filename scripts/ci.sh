@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, tests, lints, perf smoke.
+# The full local CI gate: release build, tests, lints, exact simperf
+# counters, perf smoke.
 #
 # The perf comparison is advisory here (it prints, but a shared/loaded
 # machine must not fail CI); run scripts/perf_check.sh directly for the
@@ -59,13 +60,19 @@ echo "== backend equivalence at 1/2/4 workers (release) =="
 # Each run already asserts wheel == heap == parallel(N) internally; the
 # digest lines it prints are additionally compared *across* the three
 # runs, so a thread-count-dependent trace can't slip through even if it
-# were self-consistent within one run.
+# were self-consistent within one run. `-q` prints a progress dot in
+# front of every line but the first, so the lines are matched anywhere,
+# not at line start.
 digest_log="$(mktemp)"
 trap 'rm -f "$digest_log"' EXIT
 for n in 1 2 4; do
     EXTMEM_SCHED_THREADS=$n cargo test -q --release --test sched_equivalence -- --nocapture \
-        | grep '^sched_equivalence ' | sort > "$digest_log.$n"
+        | grep -o 'sched_equivalence .*' | sort > "$digest_log.$n"
 done
+if [[ ! -s "$digest_log.1" ]]; then
+    echo "FAIL: no sched_equivalence digest lines captured" >&2
+    exit 1
+fi
 if ! diff -q "$digest_log.1" "$digest_log.2" >/dev/null \
     || ! diff -q "$digest_log.1" "$digest_log.4" >/dev/null; then
     echo "FAIL: scenario digests differ across EXTMEM_SCHED_THREADS=1,2,4" >&2
@@ -75,6 +82,25 @@ if ! diff -q "$digest_log.1" "$digest_log.2" >/dev/null \
 fi
 rm -f "$digest_log.1" "$digest_log.2" "$digest_log.4"
 echo "digests identical across 1, 2 and 4 workers"
+
+echo "== simperf exact counters vs BENCH_simperf.json =="
+# The refactor oracle: every simperf scenario's trace digest, event count
+# and hop-packet count must equal the committed baseline exactly. These
+# are deterministic work counters, so any difference is a behaviour
+# change that must be explained (and the baseline re-captured), never
+# noise. Wall-clock stays advisory (perf smoke below).
+if ! command -v jq >/dev/null; then
+    echo "FAIL: the simperf exact-counter gate needs jq" >&2
+    exit 1
+fi
+fresh_simperf=target/simperf_exact.json
+./target/release/simperf "$fresh_simperf" >/dev/null
+exact='.scenarios | map_values({digest, events, packets})'
+if ! diff <(jq -S "$exact" BENCH_simperf.json) <(jq -S "$exact" "$fresh_simperf") >&2; then
+    echo "FAIL: simperf digest/events/packets differ from BENCH_simperf.json" >&2
+    exit 1
+fi
+echo "all simperf digests, events and packets match BENCH_simperf.json"
 
 echo "== benchmark self-tests (release) =="
 # perfbench/ is a package of its own (BENCHMARK.json's command runs it).

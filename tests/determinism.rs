@@ -5,8 +5,7 @@ use extmem_apps::incast::{run_incast, IncastConfig, RemoteBufferSpec};
 use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
 use extmem_apps::workload::{FlowPick, SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
-use extmem_core::state_store::StateStoreProgram;
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::{Fib, RdmaChannel, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{LinkSpec, SimBuilder, Simulator};
 use extmem_types::{ByteSize, FiveTuple, PortId, Rate, Time, TimeDelta};
@@ -19,7 +18,8 @@ fn statestore_sim(seed: u64) -> Simulator {
     fib.install(host_mac(0), PortId(0));
     fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, FaaConfig::default());
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(50));
 
     let mut b = SimBuilder::new(seed);
     let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(

@@ -11,8 +11,8 @@ use extmem_apps::scenario::{host_endpoint, host_ip, host_mac, switch_endpoint};
 use extmem_apps::workload::{SinkNode, TrafficGenNode, WorkloadSpec};
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{Fib, RdmaChannel, ShardedStateStoreProgram};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec, SimBuilder, Simulator};
 use extmem_types::{ByteSize, FiveTuple, NodeId, PortId, Rate, Time, TimeDelta};
@@ -39,7 +39,8 @@ fn lossy_counting_rig(faa: FaaConfig, faults: FaultSpec, seed: u64) -> (LossyRig
     fib.install(host_mac(0), PortId(0));
     fib.install(host_mac(1), PortId(1));
     let engine = FaaEngine::new(channel, faa);
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
 
     let mut b = SimBuilder::new(seed);
     let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
@@ -97,8 +98,8 @@ fn reliable_statestore_is_exact_under_drops() {
     );
     rig.sim.run_until(Time::from_millis(30));
     let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(s.retransmits > 0, "expected recovery activity: {s:?}");
     assert!(prog.is_quiescent(), "must settle: {s:?}");
     let nic = rig.sim.node::<RnicNode>(rig.server);
@@ -124,7 +125,7 @@ fn best_effort_statestore_undercounts_under_drops() {
     );
     rig.sim.run_until(Time::from_millis(30));
     let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let nic = rig.sim.node::<RnicNode>(rig.server);
     let remote: u64 = read_remote_counters(nic, extmem_types::Rkey(rkey as u32), base, 256)
         .iter()
@@ -134,7 +135,7 @@ fn best_effort_statestore_undercounts_under_drops() {
         remote < truth,
         "8% loss must undercount (remote {remote} vs truth {truth})"
     );
-    assert!(prog.faa_stats().lost_updates > 0 || prog.faa_stats().naks > 0);
+    assert!(prog.engine(0).stats().lost_updates > 0 || prog.engine(0).stats().naks > 0);
 }
 
 #[test]
@@ -156,12 +157,12 @@ fn best_effort_statestore_never_wedges_under_heavy_loss() {
     );
     rig.sim.run_until(Time::from_millis(40));
     let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(
         prog.is_quiescent(),
         "engine wedged: in_transit={} stats={s:?}",
-        prog.in_transit()
+        prog.engine(0).in_transit()
     );
     assert!(s.lost_updates > 0, "20% loss must lose something: {s:?}");
     // Forwarding untouched.
@@ -196,7 +197,7 @@ fn corruption_dies_at_the_nic() {
     );
     // Reliability recovers the corrupted requests too.
     let sw: &extmem_switch::SwitchNode = rig.sim.node(rig.switch);
-    let prog = sw.program::<StateStoreProgram>();
+    let prog = sw.program::<ShardedStateStoreProgram>();
     let remote: u64 = read_remote_counters(nic, extmem_types::Rkey(rkey as u32), base, 256)
         .iter()
         .sum();
@@ -316,7 +317,8 @@ fn server_outage_and_recovery_with_reliable_statestore() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(50));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(50));
 
     let mut b = SimBuilder::new(777);
     let switch = b.add_node(Box::new(extmem_switch::SwitchNode::new(
@@ -348,7 +350,7 @@ fn server_outage_and_recovery_with_reliable_statestore() {
     sim.run_until(Time::from_micros(2_500));
     {
         let sw: &extmem_switch::SwitchNode = sim.node(switch);
-        let prog = sw.program::<StateStoreProgram>();
+        let prog = sw.program::<ShardedStateStoreProgram>();
         let nic = sim.node::<RnicNode>(server);
         assert!(nic.stats().outage_drops > 0, "outage never bit");
         let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
@@ -359,8 +361,8 @@ fn server_outage_and_recovery_with_reliable_statestore() {
     // After recovery + retransmissions, exactness is restored.
     sim.run_until(Time::from_millis(30));
     let sw: &extmem_switch::SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(s.retransmits > 0, "recovery must retransmit: {s:?}");
     assert!(prog.is_quiescent(), "must settle after recovery: {s:?}");
     let nic = sim.node::<RnicNode>(server);

@@ -24,7 +24,7 @@ use extmem_core::lookup::{
 use extmem_core::lpm::{install_remote_route, slots_per_level, RemoteLpmProgram};
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
 use extmem_core::shard::ShardedStateStoreProgram;
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
+use extmem_core::state_store::read_remote_counters;
 use extmem_core::{Fib, RdmaChannel, ReliableConfig};
 use extmem_rnic::{RnicConfig, RnicNode};
 use extmem_sim::{FaultSpec, LinkSpec, SimBuilder};
@@ -127,7 +127,8 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
 
     let mut b = SimBuilder::new(seed);
     let switch = b.add_node(Box::new(SwitchNode::new(
@@ -159,12 +160,12 @@ fn run_state_store_cell(cell: &Cell, seed: u64) {
     sim.run_until(Time::from_millis(50));
 
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(
         prog.is_quiescent(),
         "{cell:?}: stuck window (in_transit={}): {s:?}",
-        prog.in_transit()
+        prog.engine(0).in_transit()
     );
     assert!(!s.channel.failed_over, "{cell:?}: must not fail over: {s:?}");
     let nic = sim.node::<RnicNode>(server);
@@ -690,7 +691,8 @@ fn state_store_failover_accumulates_locally() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
     let mut b = SimBuilder::new(4242);
     let switch = b.add_node(Box::new(SwitchNode::new(
         "tor",
@@ -719,15 +721,15 @@ fn state_store_failover_accumulates_locally() {
     sim.run_until(Time::from_millis(30));
 
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(prog.is_degraded(), "retry cap must trip failover: {s:?}");
     assert!(s.channel.failed_over, "{s:?}");
     // No op left outstanding: everything sent-but-unacked was returned to
     // the local accumulator (in_transit = pending + outstanding).
     assert_eq!(
-        prog.in_transit(),
-        prog.pending_sum(),
+        prog.engine(0).in_transit(),
+        prog.engine(0).pending_sum(),
         "outstanding ops leaked: {s:?}"
     );
     // Conservation holds locally: what landed remotely plus what degraded
@@ -737,11 +739,11 @@ fn state_store_failover_accumulates_locally() {
     let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
     let truth: u64 = prog.oracle.values().sum();
     assert_eq!(
-        remote + prog.pending_sum(),
+        remote + prog.engine(0).pending_sum(),
         truth,
         "local accumulation must preserve every update"
     );
-    assert!(prog.pending_sum() > 0, "failover must strand updates locally");
+    assert!(prog.engine(0).pending_sum() > 0, "failover must strand updates locally");
     // Forwarding is never disturbed.
     assert_eq!(sim.node::<SinkNode>(sink).received, 600);
 }
@@ -1086,7 +1088,8 @@ fn state_store_exact_across_psn_wrap_with_loss() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
     let mut b = SimBuilder::new(321);
     let switch = b.add_node(Box::new(SwitchNode::new(
         "tor",
@@ -1117,8 +1120,8 @@ fn state_store_exact_across_psn_wrap_with_loss() {
     sim.run_until(Time::from_millis(50));
 
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(s.retransmits > 0, "loss never bit: {s:?}");
     assert!(prog.is_quiescent(), "stuck across the wrap: {s:?}");
     let nic = sim.node::<RnicNode>(server);
@@ -1178,7 +1181,8 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
             ..crash_pool_config()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
 
     let mut b = SimBuilder::new(seed);
     let switch = b.add_node(Box::new(SwitchNode::new(
@@ -1228,8 +1232,8 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
     let cell = (crash_primary, rejoin);
     assert!(sim.crash_drops(victim) > 0, "{cell:?}: crash never bit");
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(prog.is_quiescent(), "{cell:?}: stuck window: {s:?}");
     assert!(
         !prog.is_degraded(),
@@ -1256,7 +1260,7 @@ fn run_state_store_crash_cell(crash_primary: bool, rejoin: bool, seed: u64) {
             back, surv_dump,
             "{cell:?}: rejoined replica diverges from survivor: {s:?}"
         );
-        let pool = prog.pool();
+        let pool = prog.engine(0).pool();
         assert_eq!(pool.health(0), Health::Healthy, "{cell:?}: {s:?}");
         assert_eq!(pool.health(1), Health::Healthy, "{cell:?}: {s:?}");
     } else {
@@ -1744,7 +1748,8 @@ fn duplicate_storm_state_store_settles_exactly() {
             ..Default::default()
         },
     );
-    let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+    let prog =
+        ShardedStateStoreProgram::new(fib, vec![(0, engine, true)], 1, TimeDelta::from_micros(30));
     let mut b = SimBuilder::new(9900);
     let switch = b.add_node(Box::new(SwitchNode::new(
         "tor",
@@ -1784,8 +1789,8 @@ fn duplicate_storm_state_store_settles_exactly() {
         + sim.link_stats(srv_link, 1).duplicated_packets;
     assert!(dups > 0, "duplicate injection never bit");
     let sw: &SwitchNode = sim.node(switch);
-    let prog = sw.program::<StateStoreProgram>();
-    let s = prog.faa_stats();
+    let prog = sw.program::<ShardedStateStoreProgram>();
+    let s = prog.engine(0).stats();
     assert!(prog.is_quiescent(), "stuck window: {s:?}");
     assert!(!s.channel.failed_over, "{s:?}");
     let nic = sim.node::<RnicNode>(server);

@@ -22,8 +22,8 @@ use extmem_core::cuckoo::{
 use extmem_core::faa::{FaaConfig, FaaEngine};
 use extmem_core::lookup::ActionEntry;
 use extmem_core::packet_buffer::{Mode, PacketBufferProgram};
-use extmem_core::state_store::{read_remote_counters, StateStoreProgram};
-use extmem_core::{Fib, RdmaChannel};
+use extmem_core::state_store::read_remote_counters;
+use extmem_core::{Fib, RdmaChannel, ShardedStateStoreProgram};
 use extmem_switch::ChoiceFilter;
 use std::collections::HashMap;
 use extmem_rnic::{RnicConfig, RnicNode};
@@ -152,7 +152,12 @@ proptest! {
             channel,
             FaaConfig { max_outstanding: window, min_batch: batch, ..Default::default() },
         );
-        let prog = StateStoreProgram::new(fib, engine, TimeDelta::from_micros(30));
+        let prog = ShardedStateStoreProgram::new(
+            fib,
+            vec![(0, engine, true)],
+            1,
+            TimeDelta::from_micros(30),
+        );
 
         let flows: Vec<FiveTuple> = (0..n_flows)
             .map(|i| FiveTuple::new(host_ip(0), host_ip(1), 6000 + i as u16, 9000, 17))
@@ -195,23 +200,23 @@ proptest! {
         sim.run_until(Time::from_micros(200));
         {
             let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-            let prog = sw.program::<StateStoreProgram>();
+            let prog = sw.program::<ShardedStateStoreProgram>();
             let nic = sim.node::<RnicNode>(srv);
             let remote: u64 = read_remote_counters(nic, rkey, base, counters).iter().sum();
             let truth: u64 = prog.oracle.values().sum();
-            prop_assert!(remote + prog.pending_sum() <= truth, "overcount");
-            prop_assert!(truth <= remote + prog.in_transit(), "updates vanished");
+            prop_assert!(remote + prog.engine(0).pending_sum() <= truth, "overcount");
+            prop_assert!(truth <= remote + prog.engine(0).in_transit(), "updates vanished");
         }
 
         // Settle and require exactness.
         sim.run_until(Time::from_millis(60));
         let sw: &SwitchNode = sim.node::<SwitchNode>(switch);
-        let prog = sw.program::<StateStoreProgram>();
-        prop_assert!(prog.is_quiescent(), "updates still pending: {:?}", prog.faa_stats());
+        let prog = sw.program::<ShardedStateStoreProgram>();
+        prop_assert!(prog.is_quiescent(), "updates still pending: {:?}", prog.engine(0).stats());
         let nic = sim.node::<RnicNode>(srv);
         let remote = read_remote_counters(nic, rkey, base, counters);
-        for (slot, &expect) in &prog.oracle {
-            prop_assert_eq!(remote[*slot as usize], expect, "slot {} wrong", slot);
+        for (&(_, slot), &expect) in &prog.oracle {
+            prop_assert_eq!(remote[slot as usize], expect, "slot {} wrong", slot);
         }
         prop_assert_eq!(nic.stats().cpu_packets, 0);
     }
